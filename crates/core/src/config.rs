@@ -32,6 +32,11 @@ pub enum InputMode {
     BitSerial,
 }
 
+/// Widest ReRAM cell [`RaellaConfig::validate`] accepts. Weight slices
+/// are at most this wide, which bounds every programmed level's magnitude
+/// — the engine's 16-bit accumulation relies on it.
+pub(crate) const MAX_CELL_BITS: u8 = 5;
+
 /// Full configuration for compiling and running layers on RAELLA.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RaellaConfig {
@@ -115,9 +120,9 @@ impl RaellaConfig {
                 self.crossbar_rows, self.crossbar_cols
             )));
         }
-        if !(1..=5).contains(&self.cell_bits) {
+        if !(1..=MAX_CELL_BITS).contains(&self.cell_bits) {
             return Err(CoreError::InvalidConfig(format!(
-                "cell bits {} outside 1–5",
+                "cell bits {} outside 1–{MAX_CELL_BITS}",
                 self.cell_bits
             )));
         }

@@ -51,10 +51,11 @@
 //! row-major), and the kernel runs in two phases per block:
 //!
 //! 1. **Accumulation** — one sweep over each sliced input plane feeds the
-//!    whole panel's `i32` window sums from sequential memory (the
-//!    innermost level×plane products autovectorize; enable the `simd`
-//!    cargo feature to force fixed-lane chunking). Device charge folds in
-//!    the same pass from per-row mass sums.
+//!    whole panel's window sums from sequential memory. RAELLA's analog
+//!    operands are small (windows ≤ 15, charge mass ≤ 29, levels ≤ 31), so
+//!    products accumulate in 16-bit lanes over 64-row blocks — exact by a
+//!    `const` bound — and widen to `i32` (`u64` for device charge) once
+//!    per block. Device charge folds in from per-row mass sums.
 //! 2. **Conversion** — ADC converts, speculation checks, recovery, and
 //!    noise draws replay *filter-major, column by column*, in exactly the
 //!    order of the scalar reference kernel.
@@ -75,9 +76,9 @@ use raella_xbar::noise::{NoiseModel, NoiseRng};
 use raella_xbar::slicing::Slice;
 
 use crate::compiler::{CompiledLayer, SharedCompileCache, PANEL_WIDTH};
-use crate::config::{InputMode, RaellaConfig};
+use crate::config::{InputMode, RaellaConfig, MAX_CELL_BITS};
 use crate::parallel::{run_blocks, worker_count};
-use crate::scratch::{SlicedView, VectorScratch, INPUT_BITS};
+use crate::scratch::{SlicedView, Split, VectorScratch, INPUT_BITS};
 
 /// Statistics accumulated while running layers on RAELLA.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -176,70 +177,118 @@ fn dot_charge(xs: &[u16], levels: &[i16]) -> (i64, i64) {
     (pos, neg)
 }
 
-/// Adds `x · levels[i]` into `dst[i]` across one packed panel row, in
-/// `i32` — the exact accumulation width (and per-lane term order) of
-/// [`dot`], so panel window sums are bit-identical to per-column dots.
-///
-/// With the `simd` feature the loop is chunked into fixed 8-lane blocks to
-/// guarantee vectorization where the autovectorizer balks; the per-lane
-/// arithmetic — and therefore the result — is identical either way.
-#[inline]
-fn axpy_i32(dst: &mut [i32], x: i32, levels: &[i16]) {
-    debug_assert_eq!(dst.len(), levels.len());
-    #[cfg(feature = "simd")]
-    {
-        let mut d = dst.chunks_exact_mut(8);
-        let mut l = levels.chunks_exact(8);
-        for (dc, lc) in (&mut d).zip(&mut l) {
-            for i in 0..8 {
-                dc[i] += x * i32::from(lc[i]);
+/// Rows per 16-bit accumulation block. The hot kernel sums a block's
+/// products in `u16` lanes and widens once per block; the bounds below
+/// keep every block sum in range, so the wrapping lane arithmetic is
+/// exact and the results equal the scalar kernel's `i32`/`i64` sums.
+const ROW_BLOCK: usize = 64;
+/// Largest input-window value a row drives: the 4b speculative slice
+/// (§4.3; bit-serial windows are 1b). Inputs are 8b magnitudes.
+const MAX_WINDOW: usize = 15;
+/// Largest per-row device-charge mass: 4b-2b-2b slice values (15 + 3 + 3)
+/// plus the recovery popcount (8).
+const MAX_MASS: usize = 21 + 8;
+/// Largest programmed level magnitude: slices are at most `cell_bits`
+/// wide and programming error clamps to the slice's maximum.
+const MAX_LEVEL: usize = (1 << MAX_CELL_BITS) - 1;
+const _: () = assert!(ROW_BLOCK * MAX_WINDOW * MAX_LEVEL <= i16::MAX as usize);
+const _: () = assert!(ROW_BLOCK * MAX_MASS * MAX_LEVEL <= u16::MAX as usize);
+
+/// Adds `Σ_r xs[r] · lv(data[r·bw + lane])` into `dst[lane]` for one
+/// packed panel block (`bw = dst.len()` lanes, row-major), accumulating
+/// each [`ROW_BLOCK`] of rows in `u16` lanes before widening it. Common
+/// panel widths get a compile-time lane count, which keeps the block
+/// accumulator in registers.
+#[inline(always)]
+fn sweep<T: std::ops::AddAssign>(
+    dst: &mut [T],
+    xs: &[u16],
+    data: &[i16],
+    lv: impl Fn(i16) -> u16,
+    widen: impl Fn(u16) -> T,
+) {
+    match dst.len() {
+        16 => sweep_lanes::<16, T>(dst, xs, data, lv, widen),
+        32 => sweep_lanes::<32, T>(dst, xs, data, lv, widen),
+        PANEL_WIDTH => sweep_lanes::<PANEL_WIDTH, T>(dst, xs, data, lv, widen),
+        _ => sweep_lanes::<0, T>(dst, xs, data, lv, widen),
+    }
+}
+
+/// [`sweep`] over `LANES` lanes (`0`: `dst.len()`, known only at run time).
+#[inline(always)]
+fn sweep_lanes<const LANES: usize, T: std::ops::AddAssign>(
+    dst: &mut [T],
+    xs: &[u16],
+    data: &[i16],
+    lv: impl Fn(i16) -> u16,
+    widen: impl Fn(u16) -> T,
+) {
+    let bw = if LANES == 0 { dst.len() } else { LANES };
+    let mut block = [0u16; PANEL_WIDTH];
+    let block = &mut block[..bw];
+    for (xb, db) in xs.chunks(ROW_BLOCK).zip(data.chunks(ROW_BLOCK * bw)) {
+        block.fill(0);
+        for (&x, row) in xb.iter().zip(db.chunks_exact(bw)) {
+            if x == 0 {
+                continue;
+            }
+            for (a, &l) in block.iter_mut().zip(row) {
+                *a = a.wrapping_add(x.wrapping_mul(lv(l)));
             }
         }
-        for (d1, &l1) in d.into_remainder().iter_mut().zip(l.remainder()) {
-            *d1 += x * i32::from(l1);
+        for (d, &b) in dst[..bw].iter_mut().zip(block.iter()) {
+            *d += widen(b);
         }
-    }
-    #[cfg(not(feature = "simd"))]
-    for (d, &l) in dst.iter_mut().zip(levels) {
-        *d += x * i32::from(l);
     }
 }
 
-/// Adds `x · |levels[i]|` into `dst[i]` — the noise model's total-charge
-/// sums (`N⁺ + N⁻`), accumulated panel-wide alongside the signed sums.
-#[inline]
-fn axpy_abs_i32(dst: &mut [i32], x: i32, levels: &[i16]) {
-    debug_assert_eq!(dst.len(), levels.len());
-    #[cfg(feature = "simd")]
-    {
-        let mut d = dst.chunks_exact_mut(8);
-        let mut l = levels.chunks_exact(8);
-        for (dc, lc) in (&mut d).zip(&mut l) {
-            for i in 0..8 {
-                dc[i] += x * i32::from(lc[i].unsigned_abs());
-            }
-        }
-        for (d1, &l1) in d.into_remainder().iter_mut().zip(l.remainder()) {
-            *d1 += x * i32::from(l1.unsigned_abs());
-        }
-    }
-    #[cfg(not(feature = "simd"))]
-    for (d, &l) in dst.iter_mut().zip(levels) {
-        *d += x * i32::from(l.unsigned_abs());
+/// One column's `Σ xs[r] · lv(levels[r])` in the same exact 16-bit row
+/// blocks as [`sweep`], widened by `widen`.
+fn block_dot(
+    xs: &[u16],
+    levels: &[i16],
+    lv: impl Fn(i16) -> u16,
+    widen: impl Fn(u16) -> i64,
+) -> i64 {
+    xs.chunks(ROW_BLOCK)
+        .zip(levels.chunks(ROW_BLOCK))
+        .map(|(xb, lb)| {
+            widen(
+                xb.iter()
+                    .zip(lb)
+                    .fold(0u16, |a, (&x, &l)| a.wrapping_add(x.wrapping_mul(lv(l)))),
+            )
+        })
+        .sum()
+}
+
+/// The analog read of a column with signed sum `w = Σxl` and total charge
+/// `a = Σx|l|`: `w` itself when ideal, else a noise draw over the charge
+/// split — positive-level products are N⁺, so N⁺ = (a + w)/2 and
+/// N⁻ = (a − w)/2 exactly (both sums have equal parity).
+fn analog_read(noise: &NoiseModel, w: i64, a: i64, rng: &mut NoiseRng) -> i64 {
+    if noise.is_ideal() {
+        w
+    } else {
+        noise.sample((a + w) / 2, (a - w) / 2, rng)
     }
 }
 
-/// Adds `m · |levels[i]|` into `dst[i]` — panel-wide device charge, the
-/// blocked form of [`device_charge`] (same `u64` terms, same totals).
-#[inline]
-fn charge_u64(dst: &mut [u64], m: u64, levels: &[i16]) {
-    debug_assert_eq!(dst.len(), levels.len());
-    for (d, &l) in dst.iter_mut().zip(levels) {
-        *d += m * u64::from(l.unsigned_abs());
-    }
+/// The panel path's single-column read (speculation recovery), summed in
+/// 16-bit row blocks.
+fn column_read(xs: &[u16], levels: &[i16], noise: &NoiseModel, rng: &mut NoiseRng) -> i64 {
+    let w = block_dot(xs, levels, |l| l as u16, |b| i64::from(b as i16));
+    let a = if noise.is_ideal() {
+        0
+    } else {
+        block_dot(xs, levels, i16::unsigned_abs, i64::from)
+    };
+    analog_read(noise, w, a, rng)
 }
 
-/// One analog column read: ideal or noisy sum.
+/// One analog column read: ideal or noisy sum — the scalar oracle's
+/// `i32`/`i64` arithmetic, independent of the blocked hot path.
 fn column_sum(xs: &[u16], levels: &[i16], noise: &NoiseModel, rng: &mut NoiseRng) -> i64 {
     if noise.is_ideal() {
         dot(xs, levels)
@@ -655,49 +704,16 @@ pub fn run_vector_groups_at_age(
     for &sign in signs {
         scratch.load_plane(input, sign);
         scratch.slice_plane();
-        // Split borrow: the plane and sliced views are read-only while
-        // `acc`, the panel accumulators, and the group streams advance —
-        // all disjoint fields.
-        let (plane, sliced, spec_slices, acc, rngs, wsum, asum, dc) = {
-            let VectorScratch {
-                plane,
-                spec,
-                bits,
-                spec_mass,
-                bit_mass,
-                mass,
-                spec_mass_pre,
-                bit_mass_pre,
-                spec_act_pre,
-                acc,
-                rngs,
-                wsum,
-                asum,
-                dc,
-                spec_slices,
-                len,
-            } = scratch;
-            (
-                &plane[..],
-                SlicedView {
-                    spec,
-                    bits,
-                    spec_mass,
-                    bit_mass,
-                    mass,
-                    spec_mass_pre,
-                    bit_mass_pre,
-                    spec_act_pre,
-                    len: *len,
-                },
-                &spec_slices[..],
-                acc,
-                rngs,
-                wsum,
-                asum,
-                dc,
-            )
-        };
+        let Split {
+            plane,
+            sliced,
+            spec_slices,
+            acc,
+            rngs,
+            wsum,
+            asum,
+            dc,
+        } = scratch.split();
         // Cycle/DAC/row event counting is per crossbar (shared across the
         // columns it holds), not per column — O(1) per group from the
         // plane's prefix sums.
@@ -724,8 +740,7 @@ pub fn run_vector_groups_at_age(
 
                 // Phase 1 — accumulation: per (slice, window), one sweep
                 // over the rows feeds the whole panel's window sums from
-                // sequential packed levels. Zero input rows contribute
-                // nothing and are skipped (sparse high-order planes).
+                // sequential packed levels, in exact 16-bit row blocks.
                 let used = num_slices * windows * PANEL_WIDTH;
                 wsum[..used].fill(0);
                 if noisy {
@@ -739,21 +754,17 @@ pub fn run_vector_groups_at_age(
                             InputMode::Speculative => &sliced.spec_plane(w)[range.clone()],
                             InputMode::BitSerial => &sliced.bit_plane(7 - w as u32)[range.clone()],
                         };
-                        let dst = &mut wsum[(s * windows + w) * PANEL_WIDTH..][..bw];
-                        for (r, &x) in wplane.iter().enumerate() {
-                            if x == 0 {
-                                continue;
-                            }
-                            axpy_i32(dst, i32::from(x), &data[r * bw..(r + 1) * bw]);
-                        }
+                        let at = (s * windows + w) * PANEL_WIDTH;
+                        let signed = |b: u16| i32::from(b as i16);
+                        sweep(&mut wsum[at..][..bw], wplane, data, |l| l as u16, signed);
                         if noisy {
-                            let dst = &mut asum[(s * windows + w) * PANEL_WIDTH..][..bw];
-                            for (r, &x) in wplane.iter().enumerate() {
-                                if x == 0 {
-                                    continue;
-                                }
-                                axpy_abs_i32(dst, i32::from(x), &data[r * bw..(r + 1) * bw]);
-                            }
+                            sweep(
+                                &mut asum[at..][..bw],
+                                wplane,
+                                data,
+                                i16::unsigned_abs,
+                                i32::from,
+                            );
                         }
                     }
                     // Device charge: all cycles drive all columns,
@@ -761,12 +772,7 @@ pub fn run_vector_groups_at_age(
                     // speculation succeeded (§4.3.1) — one sweep prices
                     // the panel's whole slice.
                     let dcs = &mut dc[s * PANEL_WIDTH..][..bw];
-                    for (r, &m) in gmass.iter().enumerate() {
-                        if m == 0 {
-                            continue;
-                        }
-                        charge_u64(dcs, u64::from(m), &data[r * bw..(r + 1) * bw]);
-                    }
+                    sweep(dcs, gmass, data, i16::unsigned_abs, u64::from);
                 }
 
                 // Phase 2 — conversion: filter-major over the panel,
@@ -781,26 +787,18 @@ pub fn run_vector_groups_at_age(
                             InputMode::Speculative => {
                                 for (j, spec_slice) in spec_slices.iter().enumerate() {
                                     let idx = (s * windows + j) * PANEL_WIDTH + i;
-                                    let w = i64::from(wsum[idx]);
-                                    let sum = if noisy {
-                                        // `dot_charge` reconstruction:
-                                        // positive-level products are N⁺,
-                                        // so N⁺ = (Σx|l| + Σxl)/2 exactly
-                                        // (both sums have equal parity).
-                                        let a = i64::from(asum[idx]);
-                                        noise.sample((a + w) / 2, (a - w) / 2, rng)
-                                    } else {
-                                        w
-                                    };
+                                    let (w, a) = (wsum[idx].into(), asum[idx].into());
+                                    let sum = analog_read(&noise, w, a, rng);
                                     let out = cfg.adc.convert(sum);
                                     stats.events.adc_converts += 1;
                                     stats.spec_attempts += 1;
                                     if cfg.adc.saturated(out) {
                                         // Speculation failed: recover with
                                         // 1b slices of this window (rare,
-                                        // so the re-read stays scalar).
+                                        // so the re-read is per column).
                                         stats.spec_failures += 1;
                                         total += recover_window(
+                                            column_read,
                                             cfg,
                                             &noise,
                                             &sliced,
@@ -819,13 +817,8 @@ pub fn run_vector_groups_at_age(
                             InputMode::BitSerial => {
                                 for b in (0..INPUT_BITS as u32).rev() {
                                     let idx = (s * windows + (7 - b) as usize) * PANEL_WIDTH + i;
-                                    let w = i64::from(wsum[idx]);
-                                    let sum = if noisy {
-                                        let a = i64::from(asum[idx]);
-                                        noise.sample((a + w) / 2, (a - w) / 2, rng)
-                                    } else {
-                                        w
-                                    };
+                                    let (w, a) = (wsum[idx].into(), asum[idx].into());
+                                    let sum = analog_read(&noise, w, a, rng);
                                     let out = cfg.adc.convert(sum);
                                     stats.events.adc_converts += 1;
                                     stats.bitserial_converts += 1;
@@ -925,39 +918,14 @@ pub fn run_vector_groups_reference_at_age(
     for &sign in signs {
         scratch.load_plane(input, sign);
         scratch.slice_plane();
-        let (sliced, spec_slices, acc, rngs) = {
-            let VectorScratch {
-                spec,
-                bits,
-                spec_mass,
-                bit_mass,
-                mass,
-                spec_mass_pre,
-                bit_mass_pre,
-                spec_act_pre,
-                acc,
-                rngs,
-                spec_slices,
-                len,
-                ..
-            } = scratch;
-            (
-                SlicedView {
-                    spec,
-                    bits,
-                    spec_mass,
-                    bit_mass,
-                    mass,
-                    spec_mass_pre,
-                    bit_mass_pre,
-                    spec_act_pre,
-                    len: *len,
-                },
-                &spec_slices[..],
-                acc,
-                rngs,
-            )
-        };
+        let Split {
+            plane,
+            sliced,
+            spec_slices,
+            acc,
+            rngs,
+            ..
+        } = scratch.split();
         for gi in groups.clone() {
             let range = layer.group_row_range(gi);
             count_crossbar_events_scanning(cfg, &sliced, range, crossbars_per_group, &mut stats);
@@ -966,8 +934,7 @@ pub fn run_vector_groups_reference_at_age(
             for (k, g) in layer.groups()[f][groups.clone()].iter().enumerate() {
                 let rng = &mut rngs[k];
                 let range = g.row_start..g.row_start + g.rows;
-                let plane = &scratch.plane[range.clone()];
-                let gsum: i64 = plane.iter().map(|&x| i64::from(x)).sum();
+                let gsum: i64 = plane[range.clone()].iter().map(|&x| i64::from(x)).sum();
                 let mut total = i64::from(g.center) * gsum;
                 for (s, slice) in weight_slices.iter().enumerate() {
                     let levels = &g.levels[s];
@@ -1175,6 +1142,7 @@ fn run_column_speculative(
             // Speculation failed: recover with 1b slices of this window.
             stats.spec_failures += 1;
             total += recover_window(
+                column_sum,
                 cfg,
                 noise,
                 sliced,
@@ -1192,10 +1160,15 @@ fn run_column_speculative(
     total
 }
 
+/// One analog column read: [`column_read`] on the panel path,
+/// [`column_sum`] in the scalar oracle.
+type ColumnRead = fn(&[u16], &[i16], &NoiseModel, &mut NoiseRng) -> i64;
+
 /// Recovery: re-run one speculative window bit-serially, converting this
-/// (failed) column on every bit cycle.
+/// (failed) column on every bit cycle through `read`.
 #[allow(clippy::too_many_arguments)]
 fn recover_window(
+    read: ColumnRead,
     cfg: &RaellaConfig,
     noise: &NoiseModel,
     sliced: &SlicedView<'_>,
@@ -1209,7 +1182,7 @@ fn recover_window(
     let mut total = 0i64;
     for b in (window.l..=window.h).rev() {
         let xb = &sliced.bit_plane(b)[range.clone()];
-        let sum = column_sum(xb, levels, noise, rng);
+        let sum = read(xb, levels, noise, rng);
         let out = cfg.adc.convert(sum);
         stats.events.adc_converts += 1;
         stats.recovery_converts += 1;

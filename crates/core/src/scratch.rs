@@ -131,8 +131,15 @@ impl VectorScratch {
 
     /// Loads one sign plane of `input` into `plane`: the positive
     /// (`sign > 0`) or negative magnitudes.
+    ///
+    /// Magnitudes must fit [`INPUT_BITS`] bits: the bit planes, the charge
+    /// masses and the engine's 16-bit accumulation bounds all assume it.
     pub(crate) fn load_plane(&mut self, input: &[Act], sign: i64) {
         debug_assert_eq!(input.len(), self.len);
+        debug_assert!(
+            input.iter().all(|&x| x.unsigned_abs() < 1 << INPUT_BITS),
+            "input magnitudes must fit {INPUT_BITS} bits"
+        );
         if sign > 0 {
             for (p, &x) in self.plane.iter_mut().zip(input) {
                 *p = x.max(0) as u16;
@@ -190,9 +197,53 @@ impl VectorScratch {
         }
     }
 
+    /// Splits the scratch into the kernels' disjoint borrows: the loaded
+    /// sign plane and its sliced view stay read-only while the
+    /// accumulators, group noise streams and panel buffers advance.
+    pub(crate) fn split(&mut self) -> Split<'_> {
+        let VectorScratch {
+            spec_slices,
+            plane,
+            spec,
+            bits,
+            spec_mass,
+            bit_mass,
+            mass,
+            spec_mass_pre,
+            bit_mass_pre,
+            spec_act_pre,
+            acc,
+            rngs,
+            wsum,
+            asum,
+            dc,
+            len,
+        } = self;
+        Split {
+            plane,
+            sliced: SlicedView {
+                spec,
+                bits,
+                spec_mass,
+                bit_mass,
+                mass,
+                spec_mass_pre,
+                bit_mass_pre,
+                spec_act_pre,
+                len: *len,
+            },
+            spec_slices,
+            acc,
+            rngs,
+            wsum,
+            asum,
+            dc,
+        }
+    }
+
     /// Read-only view of the sliced planes (disjoint from `acc`). The
-    /// engine splits borrows field-by-field instead; this helper serves
-    /// unit tests.
+    /// engine borrows through [`VectorScratch::split`] instead; this helper
+    /// serves unit tests.
     #[cfg(test)]
     pub(crate) fn sliced(&self) -> SlicedView<'_> {
         SlicedView {
@@ -207,6 +258,19 @@ impl VectorScratch {
             len: self.len,
         }
     }
+}
+
+/// [`VectorScratch`] split into disjoint borrows (see
+/// [`VectorScratch::split`]).
+pub(crate) struct Split<'a> {
+    pub(crate) plane: &'a [u16],
+    pub(crate) sliced: SlicedView<'a>,
+    pub(crate) spec_slices: &'a [Slice],
+    pub(crate) acc: &'a mut [i64],
+    pub(crate) rngs: &'a mut [NoiseRng],
+    pub(crate) wsum: &'a mut [i32],
+    pub(crate) asum: &'a mut [i32],
+    pub(crate) dc: &'a mut [u64],
 }
 
 /// Borrowed view of one sign plane's sliced inputs.

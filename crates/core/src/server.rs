@@ -523,6 +523,7 @@ impl ServerBuilder {
             },
             recalibrations: AtomicU64::new(0),
             shrink_recalibrations: AtomicU64::new(0),
+            recalibration_errors: AtomicU64::new(0),
             recal_pause_ticks: AtomicU64::new(0),
             policy: self.policy.unwrap_or_else(|| Arc::new(RotatePolicy)),
             cache,
@@ -1248,6 +1249,8 @@ struct Shared {
     /// The subset of `recalibrations` that shrank the plan onto
     /// surviving tiles ([`RecalibrationAction::Shrink`]).
     shrink_recalibrations: AtomicU64,
+    /// Watchdog-triggered recalibration attempts that failed.
+    recalibration_errors: AtomicU64,
     /// Total time spent inside recalibration attempts, in [`TICK`]s —
     /// the serving pause the swaps cost (each attempt counts at least
     /// one tick).
@@ -1603,9 +1606,13 @@ fn worker_loop(shared: &Shared) {
             // model's fidelity at its current age; past-budget drift
             // triggers the recalibration plan swap. The handle was
             // already answered, so the pause never blocks a response
-            // delivered this iteration.
-            if shared.watchdog_interval > 0 && completed.is_multiple_of(shared.watchdog_interval) {
-                let _ = watchdog_check(shared, req.model);
+            // delivered this iteration. No caller awaits the check, so
+            // a failure is counted, never swallowed.
+            if shared.watchdog_interval > 0
+                && completed.is_multiple_of(shared.watchdog_interval)
+                && watchdog_check(shared, req.model).is_err()
+            {
+                shared.recalibration_errors.fetch_add(1, Ordering::SeqCst);
             }
         }
         shared
@@ -1951,6 +1958,7 @@ pub struct ServerMetrics {
     worker_busy_ticks: u64,
     recalibrations: u64,
     shrink_recalibrations: u64,
+    recalibration_errors: u64,
     recalibration_pause_ticks: u64,
     model_energy: Vec<EnergyBreakdown>,
     tile_writes: Vec<Vec<u64>>,
@@ -2020,6 +2028,14 @@ impl ServerMetrics {
     /// reroute), across all models.
     pub fn shrink_recalibrations(&self) -> u64 {
         self.shrink_recalibrations
+    }
+
+    /// Watchdog-triggered recalibration attempts that failed (a fidelity
+    /// sample or the policy's action was rejected), across all models.
+    /// Manual and fault-triggered attempts return their error to the
+    /// caller instead. The server keeps serving on the unchanged plan.
+    pub fn recalibration_errors(&self) -> u64 {
+        self.recalibration_errors
     }
 
     /// Cumulative programmed cells per tile, indexed by model then tile
@@ -2442,6 +2458,7 @@ impl RaellaServer {
             worker_busy_ticks: self.shared.busy_ticks.load(Ordering::Relaxed),
             recalibrations: self.shared.recalibrations.load(Ordering::SeqCst),
             shrink_recalibrations: self.shared.shrink_recalibrations.load(Ordering::SeqCst),
+            recalibration_errors: self.shared.recalibration_errors.load(Ordering::SeqCst),
             recalibration_pause_ticks: self.shared.recal_pause_ticks.load(Ordering::SeqCst),
             model_energy: self
                 .shared

@@ -10,16 +10,155 @@
 //! substream keys. Any divergence in ADC conversion order, noise draw
 //! order, device-charge pricing, or event counting fails here against the
 //! original code path.
+//!
+//! The panel kernel accumulates products in 16-bit lanes over 64-row
+//! blocks; the scalar kernel sums in `i32`/`i64`. The block properties
+//! below run 512-row crossbars, so groups span several blocks and row
+//! counts sit on either side of each block edge, and drive the lanes to
+//! their proven bound: 5b cells holding ±31 levels under saturated
+//! (all-255) inputs.
 
 use proptest::prelude::*;
 
 use raella_core::compiler::CompiledLayer;
 use raella_core::engine::{run_vector_groups, run_vector_groups_reference, RunStats};
 use raella_core::scratch::VectorScratch;
-use raella_core::RaellaConfig;
+use raella_core::{RaellaConfig, WeightEncoding};
+use raella_nn::matrix::{Act, InputProfile, MatrixLayer};
+use raella_nn::quant::OutputQuant;
 use raella_nn::synth::SynthLayer;
 use raella_xbar::adc::AdcSpec;
 use raella_xbar::slicing::Slicing;
+
+/// Runs both kernels on every vector of `inputs`, over the full group
+/// range and a partial one, and asserts that accumulators, per-vector
+/// statistics and merged statistics agree bit for bit.
+fn assert_kernels_agree(compiled: &CompiledLayer, inputs: &[Act], seed: u64) {
+    let full = 0..compiled.group_count();
+    let partial = full.start..(full.end).min(1).max(full.end.saturating_sub(1));
+    for groups in [full, partial] {
+        let mut total_panel = RunStats::default();
+        let mut total_scalar = RunStats::default();
+        for (v, input) in inputs.chunks(compiled.filter_len()).enumerate() {
+            let mut panel_scratch = VectorScratch::for_layer(compiled);
+            let mut scalar_scratch = VectorScratch::for_layer(compiled);
+            let ps = run_vector_groups(
+                compiled,
+                input,
+                groups.clone(),
+                &mut panel_scratch,
+                seed,
+                v as u64,
+            );
+            let ss = run_vector_groups_reference(
+                compiled,
+                input,
+                groups.clone(),
+                &mut scalar_scratch,
+                seed,
+                v as u64,
+            );
+            prop_assert_eq!(
+                panel_scratch.accumulators(),
+                scalar_scratch.accumulators(),
+                "accumulators diverged: groups {:?} vector {}",
+                &groups,
+                v
+            );
+            prop_assert_eq!(
+                &ps,
+                &ss,
+                "per-vector stats diverged: groups {:?} vector {}",
+                &groups,
+                v
+            );
+            total_panel.merge(&ps);
+            total_scalar.merge(&ss);
+        }
+        prop_assert_eq!(total_panel, total_scalar);
+    }
+}
+
+/// `inputs` followed by saturated vectors: every magnitude 255 — all
+/// positive, and for signed layers also all negative and alternating.
+fn with_saturated(mut inputs: Vec<Act>, rows: usize, signed: bool) -> Vec<Act> {
+    inputs.extend(std::iter::repeat_n(255, rows));
+    if signed {
+        inputs.extend(std::iter::repeat_n(-255, rows));
+        inputs.extend((0..rows).map(|r| if r.is_multiple_of(2) { 255 } else { -255 }));
+    }
+    inputs
+}
+
+/// The 16-bit bound's worst case: under Zero+Offset encoding, filters
+/// alternate all-255 weights over zero point 0 (offset +255) and all-0
+/// weights over zero point 255 (offset −255), so a 5b-3b slicing programs
+/// every 5b cell at level +31 or −31.
+fn extreme_layer(rows: usize, filters: usize, signed: bool) -> MatrixLayer {
+    let high = |f: usize| f.is_multiple_of(2);
+    let weights = (0..filters)
+        .flat_map(|f| std::iter::repeat_n(if high(f) { 255 } else { 0 }, rows))
+        .collect();
+    let zero_points = (0..filters)
+        .map(|f| if high(f) { 0 } else { 255 })
+        .collect();
+    let quant = OutputQuant::new(vec![1.0; filters], vec![0.0; filters], zero_points);
+    let profile = if signed {
+        InputProfile::signed_default()
+    } else {
+        InputProfile::relu_default()
+    };
+    MatrixLayer::new("extreme", filters, rows, weights, quant, profile).expect("consistent layer")
+}
+
+/// A 512×512-crossbar configuration with 5b cells.
+fn block_cfg(adc_bits: u8, noisy: bool, bitserial: bool) -> RaellaConfig {
+    let mut cfg = RaellaConfig {
+        crossbar_rows: 512,
+        crossbar_cols: 512,
+        cell_bits: 5,
+        ..RaellaConfig::default()
+    };
+    cfg.adc = AdcSpec::new(adc_bits, true);
+    if noisy {
+        cfg = cfg.with_noise(0.05);
+    }
+    if bitserial {
+        cfg = cfg.without_speculation();
+    }
+    cfg
+}
+
+/// Every row count on either side of a 64-row block edge, at ±31 levels
+/// and saturated inputs, ideal and noisy, speculative and bit-serial, with
+/// a 7b ADC (saturated windows fail speculation and recover) and a 16b
+/// one (exact window sums reach the conversion). Filter counts cover the 16-, 32-
+/// and 64-lane panels and a ragged one.
+#[test]
+fn panel_kernel_is_exact_at_the_16_bit_bound_across_row_blocks() {
+    let slicing = Slicing::new(&[5, 3], 8).expect("consistent slicing");
+    let row_counts = [63, 64, 65, 127, 128, 129, 512];
+    for (k, &rows) in row_counts.iter().enumerate() {
+        let filters = [16, 32, 70][k % 3];
+        for signed in [false, true] {
+            let layer = extreme_layer(rows, filters, signed);
+            let inputs = with_saturated(layer.sample_inputs(1, rows as u64), rows, signed);
+            for (noisy, bitserial, adc_bits) in
+                (0..8).map(|m| (m & 1 != 0, m & 2 != 0, [7, 16][m >> 2]))
+            {
+                let cfg = RaellaConfig {
+                    encoding: WeightEncoding::ZeroOffset,
+                    ..block_cfg(adc_bits, noisy, bitserial)
+                };
+                let compiled = CompiledLayer::with_slicing(&layer, slicing.clone(), &cfg)
+                    .expect("consistent layer");
+                let top = compiled.groups()[0][0].levels[0][0];
+                assert_eq!(top.abs(), 31, "the 5b slice sits at its maximum level");
+                assert_kernels_agree(&compiled, &inputs, rows as u64);
+            }
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -64,32 +203,41 @@ proptest! {
             .expect("consistent layer");
 
         let inputs = layer.sample_inputs(2, seed ^ 0x0DDC0FFE);
-        let full = 0..compiled.group_count();
-        let partial = full.start..(full.end).min(1).max(full.end.saturating_sub(1));
-        for groups in [full, partial] {
-            let mut total_panel = RunStats::default();
-            let mut total_scalar = RunStats::default();
-            for (v, input) in inputs.chunks(compiled.filter_len()).enumerate() {
-                let mut panel_scratch = VectorScratch::for_layer(&compiled);
-                let mut scalar_scratch = VectorScratch::for_layer(&compiled);
-                let ps = run_vector_groups(
-                    &compiled, input, groups.clone(), &mut panel_scratch, seed, v as u64,
-                );
-                let ss = run_vector_groups_reference(
-                    &compiled, input, groups.clone(), &mut scalar_scratch, seed, v as u64,
-                );
-                prop_assert_eq!(
-                    panel_scratch.accumulators(), scalar_scratch.accumulators(),
-                    "accumulators diverged: groups {:?} vector {}", &groups, v
-                );
-                prop_assert_eq!(
-                    &ps, &ss,
-                    "per-vector stats diverged: groups {:?} vector {}", &groups, v
-                );
-                total_panel.merge(&ps);
-                total_scalar.merge(&ss);
-            }
-            prop_assert_eq!(total_panel, total_scalar);
+        assert_kernels_agree(&compiled, &inputs, seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Random synthetic layers up to 512 rows on 512-row crossbars (one
+    /// group spanning up to eight 64-row blocks), 5b cells, saturated and
+    /// sampled inputs: panel and scalar kernels agree bit-for-bit.
+    #[test]
+    fn panel_kernel_is_bit_identical_across_row_blocks(
+        rows in 1usize..513,
+        filters in 1usize..90,
+        seed in 0u64..500,
+        slicing_pick in 0usize..3,
+        adc_bits in 4u8..17,
+        signed in any::<bool>(),
+        bitserial in any::<bool>(),
+        noisy in any::<bool>(),
+    ) {
+        let mut builder = SynthLayer::linear(rows, filters, seed);
+        if signed {
+            builder = builder.signed_inputs();
         }
+        let layer = builder.build();
+        let slicing = match slicing_pick {
+            0 => Slicing::new(&[5, 3], 8).expect("consistent slicing"),
+            1 => Slicing::new(&[3, 5], 8).expect("consistent slicing"),
+            _ => Slicing::raella_default_weights(),
+        };
+        let cfg = block_cfg(adc_bits, noisy, bitserial);
+        let compiled = CompiledLayer::with_slicing(&layer, slicing, &cfg)
+            .expect("consistent layer");
+        let inputs = with_saturated(layer.sample_inputs(2, seed ^ 0x0DDC0FFE), rows, signed);
+        assert_kernels_agree(&compiled, &inputs, seed);
     }
 }

@@ -4,7 +4,9 @@
 //! wear-aware policy's writes are accounted per tile, a declining policy
 //! leaves the generation alone, and malformed actions (survivor lists
 //! keeping a failed tile, empty or out-of-range layer lists) surface as
-//! errors instead of corrupting the live plan.
+//! errors — returned to the caller, or counted in
+//! `ServerMetrics::recalibration_errors` when the watchdog triggered
+//! them — instead of corrupting the live plan.
 
 use std::sync::{Arc, Mutex};
 
@@ -327,6 +329,49 @@ fn malformed_actions_error_without_corrupting_the_live_plan() {
         assert_eq!(server.generation(0), 0);
         server.shutdown();
     }
+}
+
+#[test]
+fn rejected_watchdog_recalibrations_are_counted_while_serving_continues() {
+    // A drifting device with a zero error budget breaches at every
+    // watchdog sample, and the policy names a layer the model lacks, so
+    // every watchdog-triggered recalibration is rejected.
+    let drift_cfg = RaellaConfig {
+        error_budget: 0.0,
+        ..cfg()
+    }
+    .with_noise(0.05)
+    .with_lifetime(DeviceLifetime::new(0.3, 0.5, 1_000_000));
+    let cache = SharedCompileCache::new();
+    // One worker runs every check in turn: a second worker's check would
+    // skip while the first holds the model's recalibration guard.
+    let server = builder(&drift_cfg, &cache)
+        .workers(1)
+        .recalibration_policy(RefreshLayers(vec![9]))
+        .watchdog_interval(1)
+        .build()
+        .expect("server builds");
+
+    const REQUESTS: u64 = 4;
+    for seed in 0..REQUESTS {
+        let resp = server
+            .submit(image(seed))
+            .expect("admits")
+            .wait()
+            .expect("requests keep completing after rejected recalibrations");
+        assert_eq!(resp.generation(), 0);
+    }
+    // Joining the workers lets the last completion's watchdog check land.
+    server.shutdown();
+    let metrics = server.metrics();
+    assert_eq!(metrics.served(), &[REQUESTS]);
+    assert_eq!(
+        metrics.recalibration_errors(),
+        REQUESTS,
+        "every watchdog check's rejected action is counted"
+    );
+    assert_eq!(metrics.recalibrations(), 0);
+    assert_eq!(server.generation(0), 0);
 }
 
 #[test]

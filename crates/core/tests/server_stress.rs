@@ -12,6 +12,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 
 use raella_arch::tile::TileSpec;
 use raella_core::compiler::SharedCompileCache;
@@ -205,22 +206,33 @@ fn hot_model_cannot_starve_trickle_model() {
     // exact: the `rejected` metric equals the QueueFull errors the hot
     // submitter observed.
     const MAX_BATCH: usize = 2;
-    let server = RaellaServer::builder()
-        .model(&long_graph(), &cfg()) // model 0: hot
-        .model(&conv_graph(), &cfg()) // model 1: trickle
-        .compile_cache(SharedCompileCache::new())
-        .workers(1)
-        .max_batch(MAX_BATCH)
-        .latency_budget_ticks(0)
-        .model_queue_depth(4)
-        .build()
-        .expect("two-model server builds");
+    let server = Arc::new(
+        RaellaServer::builder()
+            .model(&long_graph(), &cfg()) // model 0: hot
+            .model(&conv_graph(), &cfg()) // model 1: trickle
+            .compile_cache(SharedCompileCache::new())
+            .workers(1)
+            .max_batch(MAX_BATCH)
+            .latency_budget_ticks(0)
+            .model_queue_depth(4)
+            .build()
+            .expect("two-model server builds"),
+    );
     let hot_image = long_image(0);
     let (hot_want, _) = server.model(0).run_image(&hot_image).expect("runs");
     let trickle_image = conv_image(0);
     let (trickle_want, _) = server.model(1).run_image(&trickle_image).expect("runs");
 
     let stop = AtomicBool::new(false);
+    /// Stops the saturator however the main thread leaves the scope: a
+    /// failed assertion must fail the test, not leave the scope waiting on
+    /// a saturator that never stops.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
     std::thread::scope(|scope| {
         let saturator = scope.spawn(|| {
             let mut handles = Vec::new();
@@ -246,13 +258,28 @@ fn hot_model_cannot_starve_trickle_model() {
             std::thread::yield_now();
         }
 
+        let stop_saturator = StopOnDrop(&stop);
         for round in 0..5 {
             let handle = server
                 .submit_to(1, trickle_image.clone())
                 .expect("trickle blocking submit admits");
             let hot_before = server.metrics().served()[0];
+            // Count hot completions when the trickle request completes,
+            // on the worker's thread: counting after this thread wakes
+            // would add hot requests served while it waited for a core.
+            let (tx, rx) = mpsc::channel();
+            let observer = Arc::clone(&server);
+            handle.on_complete(move || {
+                tx.send(observer.metrics().served()[0])
+                    .expect("the test thread awaits the count");
+            });
+            // Read after admission, `hot_before` can only undercount (and
+            // exceed the completion count if this thread was descheduled).
+            let hot_during = rx
+                .recv()
+                .expect("completion fires once")
+                .saturating_sub(hot_before);
             let resp = handle.wait().expect("trickle request completes");
-            let hot_during = server.metrics().served()[0] - hot_before;
             assert_eq!(resp.output(), &trickle_want, "round {round} bytes");
             assert!(
                 hot_during <= 3 * MAX_BATCH as u64,
@@ -261,7 +288,7 @@ fn hot_model_cannot_starve_trickle_model() {
             );
         }
 
-        stop.store(true, Ordering::SeqCst);
+        drop(stop_saturator);
         let (hot_handles, rejections) = saturator.join().expect("saturator survives");
         assert!(rejections > 0, "the hot lane must actually have overflowed");
         assert_eq!(

@@ -61,8 +61,12 @@ pub fn center_cost(weights: &[u8], slicing: &Slicing, phi: i32) -> f64 {
 /// Solves Eq. (2) for one filter: the center in `1..=255` minimizing the
 /// slice-balance cost (smallest φ wins ties, for determinism).
 ///
-/// Runs on the 256-bin weight histogram, so cost is independent of filter
-/// length — the "<1 ms per layer" regime Algorithm 1 quotes.
+/// Runs on the weight histogram's occupied bins, so cost is independent of
+/// filter length — the "<1 ms per layer" regime Algorithm 1 quotes. Each
+/// slice's `crop(d)` is tabulated once for every offset `d ∈ −255..=255`,
+/// and column sums are exact integers under the same `f64` cost
+/// expression as [`center_cost`], so the argmin is bit-identical to a
+/// brute-force scan of it.
 ///
 /// # Panics
 ///
@@ -70,10 +74,43 @@ pub fn center_cost(weights: &[u8], slicing: &Slicing, phi: i32) -> f64 {
 pub fn optimal_center(weights: &[u8], slicing: &Slicing) -> i32 {
     assert!(!weights.is_empty(), "empty weight filter");
     let hist = histogram(weights);
+    let mut values = [0u8; 256];
+    let mut counts = [0i64; 256];
+    let mut occupied = 0;
+    for (v, &count) in (0..=255).zip(&hist) {
+        values[occupied] = v;
+        counts[occupied] = i64::from(count);
+        occupied += usize::from(count != 0);
+    }
+    let (values, counts) = (&values[..occupied], &counts[..occupied]);
+    // Offsets span −255..=255, so only slices below bit 8 can crop a
+    // nonzero value — at most eight of them. The others add an exact 0.0
+    // to the cost and are skipped.
+    let mut tables = [[0i16; 511]; 8];
+    let mut scales = [0.0f64; 8];
+    let mut live = 0;
+    for slice in slicing.slices().into_iter().filter(|s| s.l < 8) {
+        for (d, t) in (-255..=255).zip(tables[live].iter_mut()) {
+            *t = slice.crop(d) as i16;
+        }
+        scales[live] = f64::from(1u32 << slice.shift());
+        live += 1;
+    }
     let mut best_phi = 1;
     let mut best_cost = f64::INFINITY;
     for phi in 1..=255 {
-        let cost = cost_from_histogram(&hist, slicing, phi);
+        // `table[v + 255 − φ]` is `crop(v − φ)`.
+        let at = 255 - phi as usize;
+        let mut cost = 0.0;
+        for (table, &scale) in tables[..live].iter().zip(&scales) {
+            let table: &[i16; 256] = table[at..at + 256].try_into().expect("256 offsets");
+            let column_sum: i64 = values
+                .iter()
+                .zip(counts)
+                .map(|(&v, &count)| count * i64::from(table[usize::from(v)]))
+                .sum();
+            cost += scale * (column_sum as f64).powi(4);
+        }
         if cost < best_cost {
             best_cost = cost;
             best_phi = phi;

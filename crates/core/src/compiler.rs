@@ -38,8 +38,9 @@ pub const PANEL_WIDTH: usize = 64;
 /// reference kernel, but a kernel walking rows touches every column's
 /// vector at once. `LevelPanels` stores the transposed, blocked form: per
 /// weight slice, blocks of [`PANEL_WIDTH`] filters laid out row-major with
-/// the block's filters contiguous per row, so one sweep over the input
-/// plane feeds `PANEL_WIDTH` column accumulators from sequential memory.
+/// the block's filters contiguous per row, so one pass over an input
+/// plane's nonzero rows feeds `PANEL_WIDTH` column accumulators, each row
+/// read from sequential memory.
 ///
 /// Derived from the groups at compile time (redundant but deterministic
 /// data, serialized with the layer like everything else).
@@ -213,6 +214,22 @@ impl CompiledLayer {
         slicing: Slicing,
         cfg: &RaellaConfig,
     ) -> Result<Self, CoreError> {
+        Self::encode(layer, slicing, cfg, |f, _, weights, slicing| {
+            match cfg.encoding {
+                WeightEncoding::CenterOffset => optimal_center(weights, slicing),
+                WeightEncoding::ZeroOffset => i32::from(layer.quant().weight_zero_points[f]),
+            }
+        })
+    }
+
+    /// [`CompiledLayer::with_slicing`] with each filter group's center
+    /// supplied by `center(filter, group index, group weights, slicing)`.
+    fn encode(
+        layer: &MatrixLayer,
+        slicing: Slicing,
+        cfg: &RaellaConfig,
+        mut center: impl FnMut(usize, usize, &[u8], &Slicing) -> i32,
+    ) -> Result<Self, CoreError> {
         cfg.validate()?;
         if slicing.total_bits() != 8 {
             return Err(CoreError::InvalidConfig(format!(
@@ -234,10 +251,7 @@ impl CompiledLayer {
             while row_start < weights.len() {
                 let rows = (weights.len() - row_start).min(cfg.crossbar_rows);
                 let group_weights = &weights[row_start..row_start + rows];
-                let center = match cfg.encoding {
-                    WeightEncoding::CenterOffset => optimal_center(group_weights, &slicing),
-                    WeightEncoding::ZeroOffset => i32::from(layer.quant().weight_zero_points[f]),
-                };
+                let center = center(f, filter_groups.len(), group_weights, &slicing);
                 let mut levels = vec![vec![0i16; rows]; slices.len()];
                 for (r, &w) in group_weights.iter().enumerate() {
                     let (pos, neg) = offsets(w, center);
@@ -445,7 +459,11 @@ impl CompiledLayer {
     /// Re-programs the layer at `generation`: rebuilds every cell from the
     /// pristine weights with a **fresh** programming-error draw (the
     /// lifetime model's per-generation substream), keeping the slicing,
-    /// search error, and every other compile decision unchanged.
+    /// centers, search error, and every other compile decision unchanged.
+    /// `layer` must be the layer this one was compiled from: centers are a
+    /// pure function of (weights, slicing, encoding), so they are reused
+    /// rather than re-solved, and the result equals
+    /// [`CompiledLayer::with_slicing`] at `generation`.
     ///
     /// Clamped programming error is not invertible, so this always
     /// recompiles from `layer`'s true weights — never perturbs the already
@@ -460,10 +478,22 @@ impl CompiledLayer {
     /// Returns [`CoreError::InvalidConfig`] if the stored configuration no
     /// longer validates (cannot happen for layers built through
     /// [`CompiledLayer::compile`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer`'s shape differs from this layer's.
     pub fn reprogram(&self, layer: &MatrixLayer, generation: u64) -> Result<Self, CoreError> {
+        assert_eq!(
+            (layer.filters(), layer.filter_len()),
+            (self.filters, self.filter_len),
+            "reprogram needs the layer {} was compiled from",
+            self.name
+        );
         let mut cfg = self.cfg.clone();
         cfg.lifetime.generation = generation;
-        let mut fresh = Self::with_slicing(layer, self.weight_slicing.clone(), &cfg)?;
+        let mut fresh = Self::encode(layer, self.weight_slicing.clone(), &cfg, |f, gi, _, _| {
+            self.groups[f][gi].center
+        })?;
         fresh.search_error = self.search_error;
         Ok(fresh)
     }
@@ -956,5 +986,41 @@ mod tests {
         let back = gen1.reprogram(&layer, 0).unwrap();
         assert_eq!(back, a);
         assert_eq!(gen1.config().lifetime.generation, 1);
+    }
+
+    /// Reprogramming reuses the compiled centers instead of re-solving
+    /// them, and still lands exactly where a fresh compile at that
+    /// generation does — levels, centers and panels — under either weight
+    /// encoding, across multiple row groups.
+    #[test]
+    fn reprogram_equals_a_fresh_compile_at_the_generation() {
+        use raella_xbar::lifetime::DeviceLifetime;
+        let layer = SynthLayer::linear(150, 70, 62).build();
+        let slicing = Slicing::raella_default_weights();
+        for encoding in [WeightEncoding::CenterOffset, WeightEncoding::ZeroOffset] {
+            let cfg = RaellaConfig {
+                encoding,
+                ..small_cfg().with_lifetime(DeviceLifetime::new(0.8, 0.0, 0))
+            };
+            let compiled = CompiledLayer::with_slicing(&layer, slicing.clone(), &cfg).unwrap();
+            assert!(compiled.group_count() > 1);
+            for generation in [1, 2, 7] {
+                let reprogrammed = compiled.reprogram(&layer, generation).unwrap();
+                let mut at_gen = cfg.clone();
+                at_gen.lifetime.generation = generation;
+                let fresh = CompiledLayer::with_slicing(&layer, slicing.clone(), &at_gen).unwrap();
+                assert_eq!(
+                    reprogrammed.groups(),
+                    fresh.groups(),
+                    "{encoding:?} gen {generation}"
+                );
+                assert_eq!(
+                    reprogrammed.panels(),
+                    fresh.panels(),
+                    "{encoding:?} gen {generation}"
+                );
+                assert_eq!(reprogrammed, fresh, "{encoding:?} gen {generation}");
+            }
+        }
     }
 }

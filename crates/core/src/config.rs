@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 use raella_xbar::adc::AdcSpec;
 use raella_xbar::lifetime::DeviceLifetime;
 use raella_xbar::noise::NoiseModel;
-use raella_xbar::slicing::Slicing;
+use raella_xbar::slicing::{Slice, Slicing};
 
 use crate::error::CoreError;
 
@@ -31,6 +31,17 @@ pub enum InputMode {
     /// 8 cycles per psum set.
     BitSerial,
 }
+
+/// Number of 1b input slices (inputs are 8b magnitudes).
+pub(crate) const INPUT_BITS: usize = 8;
+
+/// [`InputMode::Speculative`]'s input windows, 4b-2b-2b, MSB window first
+/// (§4.3): [`Slicing::raella_speculative`] resolved at compile time.
+pub(crate) const SPEC_WINDOWS: [Slice; 3] = [
+    Slice { h: 7, l: 4 },
+    Slice { h: 3, l: 2 },
+    Slice { h: 1, l: 0 },
+];
 
 /// Widest ReRAM cell [`RaellaConfig::validate`] accepts. Weight slices
 /// are at most this wide, which bounds every programmed level's magnitude
@@ -214,10 +225,7 @@ impl RaellaConfig {
     /// (11 with speculation, 8 bit-serial — §4.3.2).
     pub fn cycles_per_psum_set(&self) -> u64 {
         match self.input_mode {
-            InputMode::Speculative => {
-                let spec = Slicing::raella_speculative();
-                (spec.num_slices() + spec.total_bits() as usize) as u64
-            }
+            InputMode::Speculative => (SPEC_WINDOWS.len() + INPUT_BITS) as u64,
             InputMode::BitSerial => 8,
         }
     }
@@ -226,6 +234,14 @@ impl RaellaConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn spec_windows_are_the_speculative_slicing() {
+        assert_eq!(
+            SPEC_WINDOWS.to_vec(),
+            Slicing::raella_speculative().slices()
+        );
+    }
 
     #[test]
     fn default_matches_paper_constants() {

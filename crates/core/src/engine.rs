@@ -43,29 +43,34 @@
 //! is what makes tile placement pure scheduling
 //! (`crates/core/tests/shard_determinism.rs`).
 //!
-//! # Kernel structure (cache-blocked column panels)
+//! # Kernel structure (compacted rows, fused column panels)
 //!
 //! The hot kernel does not walk columns one at a time. Per row group, the
 //! compiled layer provides its levels re-packed into cache-blocked panels
 //! ([`crate::compiler::LevelPanels`]: [`PANEL_WIDTH`] filters per block,
-//! row-major), and the kernel runs in two phases per block:
+//! row-major). Per sign plane, [`VectorScratch`] first compacts the
+//! plane's nonzero rows — row index, input windows and charge mass — in
+//! one branch-free pass, and the kernel runs in two phases per block:
 //!
-//! 1. **Accumulation** — one sweep over each sliced input plane feeds the
-//!    whole panel's window sums from sequential memory. RAELLA's analog
-//!    operands are small (windows ≤ 15, charge mass ≤ 29, levels ≤ 31), so
-//!    products accumulate in 16-bit lanes over 64-row blocks — exact by a
-//!    `const` bound — and widen to `i32` (`u64` for device charge) once
-//!    per block. Device charge folds in from per-row mass sums.
+//! 1. **Accumulation** — one pass per weight slice over the group's
+//!    compacted rows loads each packed level row once and feeds every
+//!    window's signed sum, the noisy absolute sums and device charge
+//!    together. RAELLA's analog operands are small (windows ≤ 15, charge
+//!    mass ≤ 29, levels ≤ 31), so products accumulate in 16-bit lanes
+//!    over blocks of 64 rows — exact by a `const` bound — and widen to
+//!    `i32` (`u64` for device charge) once per block.
 //! 2. **Conversion** — ADC converts, speculation checks, recovery, and
 //!    noise draws replay *filter-major, column by column*, in exactly the
-//!    order of the scalar reference kernel.
+//!    order of the scalar reference kernel. Recovery reads a failed
+//!    window's upper bits straight from the magnitude plane and derives
+//!    its lowest bit from the window's sums by linearity.
 //!
 //! The phase split is safe because analog sums are pure integer
 //! reductions (commutative even under wraparound) and noise enters only
-//! at conversion; [`run_vector_groups_reference`] retains the pre-panel
-//! scalar kernel, and `crates/core/tests/panel_oracle.rs` pins the two
-//! against each other — outputs, statistics, and noise-stream consumption
-//! bit for bit.
+//! at conversion; [`run_vector_groups_reference`] retains a scalar
+//! kernel over dense input planes with its own `i32`/`i64` arithmetic,
+//! and `crates/core/tests/panel_oracle.rs` pins the two against each
+//! other — outputs, statistics, and noise-stream consumption bit for bit.
 
 use serde::{Deserialize, Serialize};
 
@@ -76,9 +81,9 @@ use raella_xbar::noise::{NoiseModel, NoiseRng};
 use raella_xbar::slicing::Slice;
 
 use crate::compiler::{CompiledLayer, SharedCompileCache, PANEL_WIDTH};
-use crate::config::{InputMode, RaellaConfig, MAX_CELL_BITS};
+use crate::config::{InputMode, RaellaConfig, INPUT_BITS, MAX_CELL_BITS, SPEC_WINDOWS};
 use crate::parallel::{run_blocks, worker_count};
-use crate::scratch::{SlicedView, Split, VectorScratch, INPUT_BITS};
+use crate::scratch::{Entry, Split, VectorScratch};
 
 /// Statistics accumulated while running layers on RAELLA.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -153,34 +158,12 @@ impl RunStats {
     }
 }
 
-/// Ideal signed dot product `Σ xs·level` (i32 is safe: ≤ 512·15·255).
-fn dot(xs: &[u16], levels: &[i16]) -> i64 {
-    let mut sum = 0i32;
-    for (&x, &l) in xs.iter().zip(levels) {
-        sum += i32::from(x) * i32::from(l);
-    }
-    i64::from(sum)
-}
-
-/// Positive/negative charge split for the noise model.
-fn dot_charge(xs: &[u16], levels: &[i16]) -> (i64, i64) {
-    let mut pos = 0i64;
-    let mut neg = 0i64;
-    for (&x, &l) in xs.iter().zip(levels) {
-        let p = i64::from(x) * i64::from(l);
-        if p >= 0 {
-            pos += p;
-        } else {
-            neg -= p;
-        }
-    }
-    (pos, neg)
-}
-
 /// Rows per 16-bit accumulation block. The hot kernel sums a block's
 /// products in `u16` lanes and widens once per block; the bounds below
 /// keep every block sum in range, so the wrapping lane arithmetic is
-/// exact and the results equal the scalar kernel's `i32`/`i64` sums.
+/// exact and the results equal the scalar kernel's `i32`/`i64` sums. The
+/// fused pass blocks compacted entries, which are distinct rows, so an
+/// entry block holds at most `ROW_BLOCK` rows too.
 const ROW_BLOCK: usize = 64;
 /// Largest input-window value a row drives: the 4b speculative slice
 /// (§4.3; bit-serial windows are 1b). Inputs are 8b magnitudes.
@@ -194,73 +177,152 @@ const MAX_LEVEL: usize = (1 << MAX_CELL_BITS) - 1;
 const _: () = assert!(ROW_BLOCK * MAX_WINDOW * MAX_LEVEL <= i16::MAX as usize);
 const _: () = assert!(ROW_BLOCK * MAX_MASS * MAX_LEVEL <= u16::MAX as usize);
 
-/// Adds `Σ_r xs[r] · lv(data[r·bw + lane])` into `dst[lane]` for one
-/// packed panel block (`bw = dst.len()` lanes, row-major), accumulating
-/// each [`ROW_BLOCK`] of rows in `u16` lanes before widening it. Common
-/// panel widths get a compile-time lane count, which keeps the block
-/// accumulator in registers.
-#[inline(always)]
-fn sweep<T: std::ops::AddAssign>(
-    dst: &mut [T],
-    xs: &[u16],
+/// Rows per 16-bit block of a recovery bit sum: a bit is 0 or 1, so a
+/// block may hold far more rows than [`ROW_BLOCK`] before a sum can leave
+/// the lane range.
+const BIT_BLOCK: usize = 1024;
+const _: () = assert!(BIT_BLOCK * MAX_LEVEL <= i16::MAX as usize);
+
+/// Panel lanes one register-resident chunk of the fused pass covers.
+const CHUNK: usize = 16;
+
+/// Phase 1 for one weight slice of one panel block: a pass over the row
+/// group's compacted entries (`row0` is the group's first layer row) that
+/// loads each packed level row of `data` (`bw` lanes) once and adds every
+/// window's signed sum into `wsum[w·PANEL_WIDTH + lane]`, in noisy mode
+/// every window's absolute sum into `asum`, and the device charge
+/// `mass·|l|` into `dc[lane]`. Dispatches to a compile-time window count.
+#[allow(clippy::too_many_arguments)]
+fn accumulate(
+    mode: InputMode,
+    noisy: bool,
+    entries: &[Entry],
+    row0: usize,
     data: &[i16],
-    lv: impl Fn(i16) -> u16,
-    widen: impl Fn(u16) -> T,
+    bw: usize,
+    wsum: &mut [i32],
+    asum: &mut [i32],
+    dc: &mut [u64],
 ) {
-    match dst.len() {
-        16 => sweep_lanes::<16, T>(dst, xs, data, lv, widen),
-        32 => sweep_lanes::<32, T>(dst, xs, data, lv, widen),
-        PANEL_WIDTH => sweep_lanes::<PANEL_WIDTH, T>(dst, xs, data, lv, widen),
-        _ => sweep_lanes::<0, T>(dst, xs, data, lv, widen),
+    let run = match (mode, noisy) {
+        (InputMode::Speculative, false) => fuse::<{ SPEC_WINDOWS.len() }, false>,
+        (InputMode::Speculative, true) => fuse::<{ SPEC_WINDOWS.len() }, true>,
+        (InputMode::BitSerial, false) => fuse::<INPUT_BITS, false>,
+        (InputMode::BitSerial, true) => fuse::<INPUT_BITS, true>,
+    };
+    run(entries, row0, data, bw, wsum, asum, dc);
+}
+
+/// [`accumulate`] over `W` windows: per [`ROW_BLOCK`] entries and per
+/// [`CHUNK`] lanes, the block's sums stay in `u16` registers and widen
+/// once.
+fn fuse<const W: usize, const NOISY: bool>(
+    entries: &[Entry],
+    row0: usize,
+    data: &[i16],
+    bw: usize,
+    wsum: &mut [i32],
+    asum: &mut [i32],
+    dc: &mut [u64],
+) {
+    for block in entries.chunks(ROW_BLOCK) {
+        for c0 in (0..bw).step_by(CHUNK) {
+            let lanes = (bw - c0).min(CHUNK);
+            let (ws, abs, ch) = if lanes == CHUNK {
+                fuse_chunk::<W, NOISY, CHUNK>(block, row0, data, bw, c0, lanes)
+            } else {
+                fuse_chunk::<W, NOISY, 0>(block, row0, data, bw, c0, lanes)
+            };
+            for w in 0..W {
+                let at = w * PANEL_WIDTH + c0;
+                for (d, &b) in wsum[at..at + lanes].iter_mut().zip(&ws[w]) {
+                    *d += i32::from(b as i16);
+                }
+                if NOISY {
+                    for (d, &b) in asum[at..at + lanes].iter_mut().zip(&abs[w]) {
+                        *d += i32::from(b);
+                    }
+                }
+            }
+            for (d, &b) in dc[c0..c0 + lanes].iter_mut().zip(&ch) {
+                *d += u64::from(b);
+            }
+        }
     }
 }
 
-/// [`sweep`] over `LANES` lanes (`0`: `dst.len()`, known only at run time).
+/// Per-window signed and absolute `u16` sums and the device charge of one
+/// lane chunk.
+type ChunkSums<const W: usize> = ([[u16; CHUNK]; W], [[u16; CHUNK]; W], [u16; CHUNK]);
+
+/// One entry block × lanes `c0..c0 + lanes` of [`fuse`] (`C`: the lane
+/// count at compile time, `0` when known only at run time).
 #[inline(always)]
-fn sweep_lanes<const LANES: usize, T: std::ops::AddAssign>(
-    dst: &mut [T],
-    xs: &[u16],
+fn fuse_chunk<const W: usize, const NOISY: bool, const C: usize>(
+    block: &[Entry],
+    row0: usize,
     data: &[i16],
-    lv: impl Fn(i16) -> u16,
-    widen: impl Fn(u16) -> T,
-) {
-    let bw = if LANES == 0 { dst.len() } else { LANES };
-    let mut block = [0u16; PANEL_WIDTH];
-    let block = &mut block[..bw];
-    for (xb, db) in xs.chunks(ROW_BLOCK).zip(data.chunks(ROW_BLOCK * bw)) {
-        block.fill(0);
-        for (&x, row) in xb.iter().zip(db.chunks_exact(bw)) {
-            if x == 0 {
-                continue;
-            }
-            for (a, &l) in block.iter_mut().zip(row) {
-                *a = a.wrapping_add(x.wrapping_mul(lv(l)));
+    bw: usize,
+    c0: usize,
+    lanes: usize,
+) -> ChunkSums<W> {
+    let lanes = if C == 0 { lanes } else { C };
+    let mut ws = [[0u16; CHUNK]; W];
+    let mut abs = [[0u16; CHUNK]; W];
+    let mut ch = [0u16; CHUNK];
+    for e in block {
+        let at = (e.row as usize - row0) * bw + c0;
+        let row = &data[at..at + lanes];
+        let mut mag = [0u16; CHUNK];
+        for (m, &l) in mag.iter_mut().zip(row) {
+            *m = l.unsigned_abs();
+        }
+        for (acc, &x) in ws.iter_mut().zip(&e.win) {
+            for (a, &l) in acc.iter_mut().zip(row) {
+                *a = a.wrapping_add(x.wrapping_mul(l as u16));
             }
         }
-        for (d, &b) in dst[..bw].iter_mut().zip(block.iter()) {
-            *d += widen(b);
+        if NOISY {
+            for (acc, &x) in abs.iter_mut().zip(&e.win) {
+                for (a, &m) in acc.iter_mut().zip(&mag) {
+                    *a = a.wrapping_add(x.wrapping_mul(m));
+                }
+            }
+        }
+        for (a, &m) in ch.iter_mut().zip(&mag) {
+            *a = a.wrapping_add(e.mass.wrapping_mul(m));
         }
     }
+    (ws, abs, ch)
 }
 
-/// One column's `Σ xs[r] · lv(levels[r])` in the same exact 16-bit row
-/// blocks as [`sweep`], widened by `widen`.
-fn block_dot(
-    xs: &[u16],
+/// `(Σ bit_b(x)·l, Σ bit_b(x)·|l|)` of one column for the `BITS` bits
+/// above bit `l` (`[b − l − 1]`), read straight from the magnitude plane
+/// in one pass of exact 16-bit [`BIT_BLOCK`]s; absolute sums only if
+/// `NOISY`.
+fn upper_bit_sums<const BITS: usize, const NOISY: bool>(
+    plane: &[u16],
     levels: &[i16],
-    lv: impl Fn(i16) -> u16,
-    widen: impl Fn(u16) -> i64,
-) -> i64 {
-    xs.chunks(ROW_BLOCK)
-        .zip(levels.chunks(ROW_BLOCK))
-        .map(|(xb, lb)| {
-            widen(
-                xb.iter()
-                    .zip(lb)
-                    .fold(0u16, |a, (&x, &l)| a.wrapping_add(x.wrapping_mul(lv(l)))),
-            )
-        })
-        .sum()
+    l: u32,
+) -> [(i64, i64); 3] {
+    let mut sums = [(0i64, 0i64); 3];
+    for (xb, lb) in plane.chunks(BIT_BLOCK).zip(levels.chunks(BIT_BLOCK)) {
+        let (mut w, mut a) = ([0u16; BITS], [0u16; BITS]);
+        for (&x, &lv) in xb.iter().zip(lb) {
+            for k in 0..BITS {
+                let bit = (x >> (l + 1 + k as u32)) & 1;
+                w[k] = w[k].wrapping_add(bit.wrapping_mul(lv as u16));
+                if NOISY {
+                    a[k] = a[k].wrapping_add(bit.wrapping_mul(lv.unsigned_abs()));
+                }
+            }
+        }
+        for k in 0..BITS {
+            sums[k].0 += i64::from(w[k] as i16);
+            sums[k].1 += i64::from(a[k]);
+        }
+    }
+    sums
 }
 
 /// The analog read of a column with signed sum `w = Σxl` and total charge
@@ -275,38 +337,70 @@ fn analog_read(noise: &NoiseModel, w: i64, a: i64, rng: &mut NoiseRng) -> i64 {
     }
 }
 
-/// The panel path's single-column read (speculation recovery), summed in
-/// 16-bit row blocks.
-fn column_read(xs: &[u16], levels: &[i16], noise: &NoiseModel, rng: &mut NoiseRng) -> i64 {
-    let w = block_dot(xs, levels, |l| l as u16, |b| i64::from(b as i16));
-    let a = if noise.is_ideal() {
-        0
-    } else {
-        block_dot(xs, levels, i16::unsigned_abs, i64::from)
-    };
-    analog_read(noise, w, a, rng)
-}
-
-/// One analog column read: ideal or noisy sum — the scalar oracle's
-/// `i32`/`i64` arithmetic, independent of the blocked hot path.
-fn column_sum(xs: &[u16], levels: &[i16], noise: &NoiseModel, rng: &mut NoiseRng) -> i64 {
-    if noise.is_ideal() {
-        dot(xs, levels)
-    } else {
-        let (pos, neg) = dot_charge(xs, levels);
-        noise.sample(pos, neg, rng)
+/// Converts one recovery read and counts it. A saturation is accepted and
+/// propagated (rare, §3.4).
+fn recovery_convert(cfg: &RaellaConfig, sum: i64, stats: &mut RunStats) -> i64 {
+    let out = cfg.adc.convert(sum);
+    stats.events.adc_converts += 1;
+    stats.recovery_converts += 1;
+    if cfg.adc.saturated(out) {
+        stats.recovery_saturations += 1;
     }
+    out
 }
 
-/// Crossbar charge of one column-cycle set: `Σ mass·|level|` over the rows
-/// a column holds. All cycles drive all columns — including recovery
-/// cycles for columns whose speculation succeeded (§4.3.1) — so the same
-/// fold prices speculation, recovery, and bit-serial passes.
-fn device_charge(mass: &[u16], levels: &[i16]) -> u64 {
-    mass.iter()
-        .zip(levels)
-        .map(|(&m, &l)| u64::from(m) * u64::from(l.unsigned_abs()))
-        .sum()
+/// Recovery on the panel path: re-runs one failed speculative window
+/// bit-serially, converting this column on every bit cycle, MSB first.
+/// Bits above the window's lowest are summed from `plane` in one pass;
+/// the lowest is derived from the window's own sums `(w, a)`, since the
+/// window value is `Σ_b 2^{b−l}·bit_b` and so `r_l = w − Σ_{b>l}
+/// 2^{b−l}·r_b` for the signed and the absolute sums alike. One noise
+/// draw per bit, in order.
+#[allow(clippy::too_many_arguments)]
+fn recover_window(
+    cfg: &RaellaConfig,
+    noise: &NoiseModel,
+    plane: &[u16],
+    levels: &[i16],
+    (mut w, mut a): (i64, i64),
+    w_shift: u32,
+    window: Slice,
+    stats: &mut RunStats,
+    rng: &mut NoiseRng,
+) -> i64 {
+    let upper = match (window.width(), noise.is_ideal()) {
+        (4, true) => upper_bit_sums::<3, false>,
+        (4, false) => upper_bit_sums::<3, true>,
+        (2, true) => upper_bit_sums::<1, false>,
+        (2, false) => upper_bit_sums::<1, true>,
+        _ => unreachable!("speculative windows are 4b or 2b"),
+    };
+    let sums = upper(plane, levels, window.l);
+    let mut total = 0i64;
+    for b in (window.l..=window.h).rev() {
+        let (wb, ab) = if b == window.l {
+            (w, a)
+        } else {
+            sums[(b - window.l - 1) as usize]
+        };
+        w -= wb << (b - window.l);
+        a -= ab << (b - window.l);
+        total += recovery_convert(cfg, analog_read(noise, wb, ab, rng), stats) << (w_shift + b);
+    }
+    total
+}
+
+/// Counts cycles, DAC pulses and row activations for one crossbar
+/// row-group processing one input plane, from the group's compacted rows:
+/// a row's DAC pulses are its charge mass (every cycle's input value), and
+/// zero rows contribute nothing.
+fn count_crossbar_events(cycles: u64, entries: &[Entry], crossbars: u64, stats: &mut RunStats) {
+    let (pulses, active) = entries.iter().fold((0u64, 0u64), |(p, a), e| {
+        (p + u64::from(e.mass), a + u64::from(e.active))
+    });
+    stats.events.cycles += cycles;
+    stats.events.dac_pulses += pulses * crossbars;
+    stats.events.row_activations += active * crossbars;
 }
 
 /// Runs a batch of input vectors through a compiled layer, serially.
@@ -686,16 +780,19 @@ pub fn run_vector_groups_at_age(
     let filters = layer.filters();
     let columns_needed = filters * layer.columns_per_filter();
     let crossbars_per_group = columns_needed.div_ceil(cfg.crossbar_cols) as u64;
-    // Per-slice shifts and the speculative windows were resolved at
-    // compile / scratch-construction time — nothing is re-derived per
-    // vector.
+    // Per-slice shifts were resolved at compile time — nothing is
+    // re-derived per vector.
     let shifts = layer.slice_shifts();
     let num_slices = shifts.len();
     let noisy = !noise.is_ideal();
     let windows = match cfg.input_mode {
-        InputMode::Speculative => scratch.spec_slices.len(),
+        InputMode::Speculative => SPEC_WINDOWS.len(),
         InputMode::BitSerial => INPUT_BITS,
     };
+    let cycles = cfg.cycles_per_psum_set();
+    // The ADC's rails, resolved once: a conversion clamps to them, and an
+    // output on either one is a saturation (`AdcSpec::saturated`).
+    let (adc_min, adc_max) = (cfg.adc.min(), cfg.adc.max());
 
     for gi in groups.clone() {
         debug_assert_uniform_geometry(layer, gi);
@@ -703,44 +800,39 @@ pub fn run_vector_groups_at_age(
 
     for &sign in signs {
         scratch.load_plane(input, sign);
-        scratch.slice_plane();
+        scratch.compact(cfg.input_mode);
         let Split {
             plane,
-            sliced,
-            spec_slices,
+            entries,
             acc,
             rngs,
             wsum,
             asum,
             dc,
         } = scratch.split();
-        // Cycle/DAC/row event counting is per crossbar (shared across the
-        // columns it holds), not per column — O(1) per group from the
-        // plane's prefix sums.
-        for gi in groups.clone() {
-            let range = layer.group_row_range(gi);
-            count_crossbar_events(cfg, &sliced, range, crossbars_per_group, &mut stats);
-        }
         for (k, gi) in groups.clone().enumerate() {
             let rng = &mut rngs[k];
             let panel = &layer.panels()[gi];
             let range = layer.group_row_range(gi);
+            // The group's nonzero rows: a subrange of the row-sorted
+            // entries.
+            let lo = entries.partition_point(|e| (e.row as usize) < range.start);
+            let hi = lo + entries[lo..].partition_point(|e| (e.row as usize) < range.end);
+            let gentries = &entries[lo..hi];
+            // Cycle/DAC/row event counting is per crossbar (shared across
+            // the columns it holds), not per column.
+            count_crossbar_events(cycles, gentries, crossbars_per_group, &mut stats);
             let gplane = &plane[range.clone()];
             let gsum: i64 = gplane.iter().map(|&x| i64::from(x)).sum();
-            // Mass the device-charge fold drives against every column:
-            // speculation + recovery cycles in speculative mode (§4.3.1),
-            // bit cycles only in bit-serial mode.
-            let gmass = match cfg.input_mode {
-                InputMode::Speculative => &sliced.mass[range.clone()],
-                InputMode::BitSerial => &sliced.bit_mass[range.clone()],
-            };
             for p in 0..filters.div_ceil(PANEL_WIDTH) {
                 let f0 = p * PANEL_WIDTH;
                 let bw = (filters - f0).min(PANEL_WIDTH);
 
-                // Phase 1 — accumulation: per (slice, window), one sweep
-                // over the rows feeds the whole panel's window sums from
-                // sequential packed levels, in exact 16-bit row blocks.
+                // Phase 1 — accumulation: per weight slice, one fused
+                // pass over the group's nonzero rows feeds the whole
+                // panel's window sums and device charge (all cycles drive
+                // all columns, including recovery cycles for columns whose
+                // speculation succeeded, §4.3.1).
                 let used = num_slices * windows * PANEL_WIDTH;
                 wsum[..used].fill(0);
                 if noisy {
@@ -748,69 +840,60 @@ pub fn run_vector_groups_at_age(
                 }
                 dc[..num_slices * PANEL_WIDTH].fill(0);
                 for s in 0..num_slices {
-                    let data = panel.block(s, p, bw);
-                    for w in 0..windows {
-                        let wplane: &[u16] = match cfg.input_mode {
-                            InputMode::Speculative => &sliced.spec_plane(w)[range.clone()],
-                            InputMode::BitSerial => &sliced.bit_plane(7 - w as u32)[range.clone()],
-                        };
-                        let at = (s * windows + w) * PANEL_WIDTH;
-                        let signed = |b: u16| i32::from(b as i16);
-                        sweep(&mut wsum[at..][..bw], wplane, data, |l| l as u16, signed);
-                        if noisy {
-                            sweep(
-                                &mut asum[at..][..bw],
-                                wplane,
-                                data,
-                                i16::unsigned_abs,
-                                i32::from,
-                            );
-                        }
-                    }
-                    // Device charge: all cycles drive all columns,
-                    // including recovery cycles for columns whose
-                    // speculation succeeded (§4.3.1) — one sweep prices
-                    // the panel's whole slice.
-                    let dcs = &mut dc[s * PANEL_WIDTH..][..bw];
-                    sweep(dcs, gmass, data, i16::unsigned_abs, u64::from);
+                    let at = s * windows * PANEL_WIDTH;
+                    accumulate(
+                        cfg.input_mode,
+                        noisy,
+                        gentries,
+                        range.start,
+                        panel.block(s, p, bw),
+                        bw,
+                        &mut wsum[at..at + windows * PANEL_WIDTH],
+                        &mut asum[at..at + windows * PANEL_WIDTH],
+                        &mut dc[s * PANEL_WIDTH..(s + 1) * PANEL_WIDTH],
+                    );
                 }
 
                 // Phase 2 — conversion: filter-major over the panel,
                 // replaying the scalar kernel's per-column ADC order so
                 // noise draws (and recovery re-reads) consume the group's
-                // substream in exactly the reference sequence.
+                // substream in exactly the reference sequence. Every
+                // column converts every window once.
+                let converts = (bw * num_slices * windows) as u64;
+                stats.events.adc_converts += converts;
+                match cfg.input_mode {
+                    InputMode::Speculative => stats.spec_attempts += converts,
+                    InputMode::BitSerial => stats.bitserial_converts += converts,
+                }
                 for i in 0..bw {
                     let f = f0 + i;
                     let mut total = i64::from(panel.centers()[f]) * gsum;
                     for (s, &w_shift) in shifts.iter().enumerate() {
                         match cfg.input_mode {
                             InputMode::Speculative => {
-                                for (j, spec_slice) in spec_slices.iter().enumerate() {
+                                for (j, window) in SPEC_WINDOWS.iter().enumerate() {
                                     let idx = (s * windows + j) * PANEL_WIDTH + i;
                                     let (w, a) = (wsum[idx].into(), asum[idx].into());
-                                    let sum = analog_read(&noise, w, a, rng);
-                                    let out = cfg.adc.convert(sum);
-                                    stats.events.adc_converts += 1;
-                                    stats.spec_attempts += 1;
-                                    if cfg.adc.saturated(out) {
+                                    let out =
+                                        analog_read(&noise, w, a, rng).clamp(adc_min, adc_max);
+                                    if out == adc_min || out == adc_max {
                                         // Speculation failed: recover with
                                         // 1b slices of this window (rare,
                                         // so the re-read is per column).
                                         stats.spec_failures += 1;
                                         total += recover_window(
-                                            column_read,
                                             cfg,
                                             &noise,
-                                            &sliced,
-                                            range.clone(),
+                                            gplane,
                                             &layer.groups()[f][gi].levels[s],
+                                            (w, a),
                                             w_shift,
-                                            *spec_slice,
+                                            *window,
                                             &mut stats,
                                             rng,
                                         );
                                     } else {
-                                        total += out << (w_shift + spec_slice.shift());
+                                        total += out << (w_shift + window.shift());
                                     }
                                 }
                             }
@@ -818,11 +901,9 @@ pub fn run_vector_groups_at_age(
                                 for b in (0..INPUT_BITS as u32).rev() {
                                     let idx = (s * windows + (7 - b) as usize) * PANEL_WIDTH + i;
                                     let (w, a) = (wsum[idx].into(), asum[idx].into());
-                                    let sum = analog_read(&noise, w, a, rng);
-                                    let out = cfg.adc.convert(sum);
-                                    stats.events.adc_converts += 1;
-                                    stats.bitserial_converts += 1;
-                                    if cfg.adc.saturated(out) {
+                                    let out =
+                                        analog_read(&noise, w, a, rng).clamp(adc_min, adc_max);
+                                    if out == adc_min || out == adc_max {
                                         stats.bitserial_saturations += 1;
                                     }
                                     total += out << (w_shift + b);
@@ -839,11 +920,13 @@ pub fn run_vector_groups_at_age(
     stats
 }
 
-/// The pre-panel scalar kernel, retained verbatim as the bit-exactness
-/// oracle for [`run_vector_groups`].
+/// The scalar kernel, retained as the bit-exactness oracle for
+/// [`run_vector_groups`].
 ///
-/// Processes one column (filter × weight slice) at a time, re-scanning the
-/// sliced planes per column, exactly as the engine did before panel
+/// Slices each sign plane into dense speculative and bit planes of its
+/// own and processes one column (filter × weight slice) at a time,
+/// re-scanning every row per column in `i32`/`i64` arithmetic and
+/// re-reading every recovery bit, as the engine did before panel
 /// blocking. `crates/core/tests/panel_oracle.rs` pins the panel kernel
 /// against this function — outputs *and* full statistics, ideal and
 /// noisy, both input modes — so any panel miscount or reordered noise
@@ -917,22 +1000,15 @@ pub fn run_vector_groups_reference_at_age(
 
     for &sign in signs {
         scratch.load_plane(input, sign);
-        scratch.slice_plane();
-        let Split {
-            plane,
-            sliced,
-            spec_slices,
-            acc,
-            rngs,
-            ..
-        } = scratch.split();
+        let dense = DensePlanes::slice(&scratch.plane);
+        let plane = &scratch.plane;
         for gi in groups.clone() {
             let range = layer.group_row_range(gi);
-            count_crossbar_events_scanning(cfg, &sliced, range, crossbars_per_group, &mut stats);
+            count_crossbar_events_scanning(cfg, &dense, range, crossbars_per_group, &mut stats);
         }
-        for (f, acc_f) in acc.iter_mut().enumerate() {
+        for (f, acc_f) in scratch.acc.iter_mut().enumerate() {
             for (k, g) in layer.groups()[f][groups.clone()].iter().enumerate() {
-                let rng = &mut rngs[k];
+                let rng = &mut scratch.rngs[k];
                 let range = g.row_start..g.row_start + g.rows;
                 let gsum: i64 = plane[range.clone()].iter().map(|&x| i64::from(x)).sum();
                 let mut total = i64::from(g.center) * gsum;
@@ -942,8 +1018,7 @@ pub fn run_vector_groups_reference_at_age(
                         InputMode::Speculative => run_column_speculative(
                             cfg,
                             &noise,
-                            spec_slices,
-                            &sliced,
+                            &dense,
                             range.clone(),
                             levels,
                             slice.shift(),
@@ -953,7 +1028,7 @@ pub fn run_vector_groups_reference_at_age(
                         InputMode::BitSerial => run_column_bitserial(
                             cfg,
                             &noise,
-                            &sliced,
+                            &dense,
                             range.clone(),
                             levels,
                             slice.shift(),
@@ -963,11 +1038,11 @@ pub fn run_vector_groups_reference_at_age(
                     };
                     stats.events.device_charge += match cfg.input_mode {
                         InputMode::Speculative => {
-                            device_charge(&sliced.spec_mass[range.clone()], levels)
-                                + device_charge(&sliced.bit_mass[range.clone()], levels)
+                            device_charge(&dense.spec_mass[range.clone()], levels)
+                                + device_charge(&dense.bit_mass[range.clone()], levels)
                         }
                         InputMode::BitSerial => {
-                            device_charge(&sliced.bit_mass[range.clone()], levels)
+                            device_charge(&dense.bit_mass[range.clone()], levels)
                         }
                     };
                 }
@@ -976,6 +1051,88 @@ pub fn run_vector_groups_reference_at_age(
         }
     }
     stats
+}
+
+/// The scalar oracle's own dense slicing of one sign plane.
+struct DensePlanes {
+    /// Speculative window planes, MSB window first.
+    spec: Vec<Vec<u16>>,
+    /// Bit planes, indexed by magnitude bit (0 = LSB).
+    bits: Vec<Vec<u16>>,
+    /// Per row: Σ over speculative windows of the window value.
+    spec_mass: Vec<u16>,
+    /// Per row: popcount.
+    bit_mass: Vec<u16>,
+}
+
+impl DensePlanes {
+    fn slice(plane: &[u16]) -> Self {
+        let spec: Vec<Vec<u16>> = SPEC_WINDOWS
+            .iter()
+            .map(|s| {
+                let mask = (1 << s.width()) - 1;
+                plane.iter().map(|&x| (x >> s.l) & mask).collect()
+            })
+            .collect();
+        let bits = (0..INPUT_BITS as u32)
+            .map(|b| plane.iter().map(|&x| (x >> b) & 1).collect())
+            .collect();
+        let spec_mass = (0..plane.len())
+            .map(|r| spec.iter().map(|p| p[r]).sum())
+            .collect();
+        let bit_mass = plane.iter().map(|&x| x.count_ones() as u16).collect();
+        DensePlanes {
+            spec,
+            bits,
+            spec_mass,
+            bit_mass,
+        }
+    }
+}
+
+/// Ideal signed dot product `Σ xs·level` (i32 is safe: ≤ 512·15·255).
+fn dot(xs: &[u16], levels: &[i16]) -> i64 {
+    let mut sum = 0i32;
+    for (&x, &l) in xs.iter().zip(levels) {
+        sum += i32::from(x) * i32::from(l);
+    }
+    i64::from(sum)
+}
+
+/// Positive/negative charge split for the noise model.
+fn dot_charge(xs: &[u16], levels: &[i16]) -> (i64, i64) {
+    let mut pos = 0i64;
+    let mut neg = 0i64;
+    for (&x, &l) in xs.iter().zip(levels) {
+        let p = i64::from(x) * i64::from(l);
+        if p >= 0 {
+            pos += p;
+        } else {
+            neg -= p;
+        }
+    }
+    (pos, neg)
+}
+
+/// One analog column read in the scalar oracle: ideal or noisy sum.
+fn column_sum(xs: &[u16], levels: &[i16], noise: &NoiseModel, rng: &mut NoiseRng) -> i64 {
+    if noise.is_ideal() {
+        dot(xs, levels)
+    } else {
+        let (pos, neg) = dot_charge(xs, levels);
+        noise.sample(pos, neg, rng)
+    }
+}
+
+/// Crossbar charge of one column-cycle set: `Σ mass·|level|` over the rows
+/// a column holds. All cycles drive all columns — including recovery
+/// cycles for columns whose speculation succeeded (§4.3.1) — so the same
+/// fold prices speculation, recovery, and bit-serial passes.
+fn device_charge(mass: &[u16], levels: &[i16]) -> u64 {
+    mass.iter()
+        .zip(levels)
+        .map(|(&m, &l)| u64::from(m) * u64::from(l.unsigned_abs()))
+        .sum()
 }
 
 /// Debug-asserts that every filter's group `gi` covers the same row range
@@ -1032,87 +1189,35 @@ pub fn finalize_vector(
     }
 }
 
-/// Counts cycles, DAC pulses and row activations for one crossbar
-/// row-group processing one input plane — O(1) per group, from the prefix
-/// sums [`VectorScratch::slice_plane`] builds alongside the planes.
-///
-/// The equivalences with the definitional rescans (checked by
-/// `count_crossbar_events_scanning` and the scratch prefix tests):
-/// DAC pulses per row are the slice-value masses; bit-plane row
-/// activations equal the bit mass (each plane entry is 0 or 1, so the
-/// popcount *is* the activation count); speculative-plane activations are
-/// tallied per row while slicing.
-fn count_crossbar_events(
-    cfg: &RaellaConfig,
-    sliced: &SlicedView<'_>,
-    range: std::ops::Range<usize>,
-    crossbars: u64,
-    stats: &mut RunStats,
-) {
-    let bit_pulses = sliced.bit_mass_pre[range.end] - sliced.bit_mass_pre[range.start];
-    match cfg.input_mode {
-        InputMode::Speculative => {
-            stats.events.cycles += cfg.cycles_per_psum_set();
-            // Speculation pulses: slice values; recovery pulses: 1-bit.
-            let spec_pulses = sliced.spec_mass_pre[range.end] - sliced.spec_mass_pre[range.start];
-            stats.events.dac_pulses += (spec_pulses + bit_pulses) * crossbars;
-            let active =
-                sliced.spec_act_pre[range.end] - sliced.spec_act_pre[range.start] + bit_pulses;
-            stats.events.row_activations += active * crossbars;
-        }
-        InputMode::BitSerial => {
-            stats.events.cycles += 8;
-            stats.events.dac_pulses += bit_pulses * crossbars;
-            stats.events.row_activations += bit_pulses * crossbars;
-        }
-    }
-}
-
-/// The pre-panel event counter, rescanning the sliced planes per group —
-/// kept as the definitional oracle behind [`count_crossbar_events`], used
-/// only by [`run_vector_groups_reference`].
+/// The definitional event counter behind [`count_crossbar_events`],
+/// rescanning the dense planes per group; used only by
+/// [`run_vector_groups_reference`].
 fn count_crossbar_events_scanning(
     cfg: &RaellaConfig,
-    sliced: &SlicedView<'_>,
+    dense: &DensePlanes,
     range: std::ops::Range<usize>,
     crossbars: u64,
     stats: &mut RunStats,
 ) {
+    let total = |mass: &[u16]| -> u64 { mass[range.clone()].iter().map(|&m| u64::from(m)).sum() };
+    let active = |planes: &[Vec<u16>]| -> u64 {
+        planes
+            .iter()
+            .map(|xs| xs[range.clone()].iter().filter(|&&x| x > 0).count() as u64)
+            .sum()
+    };
     match cfg.input_mode {
         InputMode::Speculative => {
             stats.events.cycles += cfg.cycles_per_psum_set();
             // Speculation pulses: slice values; recovery pulses: 1-bit.
-            let spec_pulses: u64 = sliced.spec_mass[range.clone()]
-                .iter()
-                .map(|&m| u64::from(m))
-                .sum();
-            let rec_pulses: u64 = sliced.bit_mass[range.clone()]
-                .iter()
-                .map(|&m| u64::from(m))
-                .sum();
-            stats.events.dac_pulses += (spec_pulses + rec_pulses) * crossbars;
-            let active: u64 = sliced
-                .spec_planes()
-                .map(|xs| xs[range.clone()].iter().filter(|&&x| x > 0).count() as u64)
-                .sum::<u64>()
-                + sliced
-                    .bit_planes()
-                    .map(|xb| xb[range.clone()].iter().filter(|&&x| x > 0).count() as u64)
-                    .sum::<u64>();
-            stats.events.row_activations += active * crossbars;
+            stats.events.dac_pulses +=
+                (total(&dense.spec_mass) + total(&dense.bit_mass)) * crossbars;
+            stats.events.row_activations += (active(&dense.spec) + active(&dense.bits)) * crossbars;
         }
         InputMode::BitSerial => {
             stats.events.cycles += 8;
-            let pulses: u64 = sliced.bit_mass[range.clone()]
-                .iter()
-                .map(|&m| u64::from(m))
-                .sum();
-            stats.events.dac_pulses += pulses * crossbars;
-            let active: u64 = sliced
-                .bit_planes()
-                .map(|xb| xb[range.clone()].iter().filter(|&&x| x > 0).count() as u64)
-                .sum();
-            stats.events.row_activations += active * crossbars;
+            stats.events.dac_pulses += total(&dense.bit_mass) * crossbars;
+            stats.events.row_activations += active(&dense.bits) * crossbars;
         }
     }
 }
@@ -1123,8 +1228,7 @@ fn count_crossbar_events_scanning(
 fn run_column_speculative(
     cfg: &RaellaConfig,
     noise: &NoiseModel,
-    spec_slices: &[Slice],
-    sliced: &SlicedView<'_>,
+    dense: &DensePlanes,
     range: std::ops::Range<usize>,
     levels: &[i16],
     w_shift: u32,
@@ -1132,65 +1236,21 @@ fn run_column_speculative(
     rng: &mut NoiseRng,
 ) -> i64 {
     let mut total = 0i64;
-    for (j, spec_slice) in spec_slices.iter().enumerate() {
-        let xs = &sliced.spec_plane(j)[range.clone()];
-        let sum = column_sum(xs, levels, noise, rng);
+    for (xs, window) in dense.spec.iter().zip(&SPEC_WINDOWS) {
+        let sum = column_sum(&xs[range.clone()], levels, noise, rng);
         let out = cfg.adc.convert(sum);
         stats.events.adc_converts += 1;
         stats.spec_attempts += 1;
         if cfg.adc.saturated(out) {
-            // Speculation failed: recover with 1b slices of this window.
+            // Speculation failed: re-read every bit of this window.
             stats.spec_failures += 1;
-            total += recover_window(
-                column_sum,
-                cfg,
-                noise,
-                sliced,
-                range.clone(),
-                levels,
-                w_shift,
-                *spec_slice,
-                stats,
-                rng,
-            );
+            for b in (window.l..=window.h).rev() {
+                let sum = column_sum(&dense.bits[b as usize][range.clone()], levels, noise, rng);
+                total += recovery_convert(cfg, sum, stats) << (w_shift + b);
+            }
         } else {
-            total += out << (w_shift + spec_slice.shift());
+            total += out << (w_shift + window.shift());
         }
-    }
-    total
-}
-
-/// One analog column read: [`column_read`] on the panel path,
-/// [`column_sum`] in the scalar oracle.
-type ColumnRead = fn(&[u16], &[i16], &NoiseModel, &mut NoiseRng) -> i64;
-
-/// Recovery: re-run one speculative window bit-serially, converting this
-/// (failed) column on every bit cycle through `read`.
-#[allow(clippy::too_many_arguments)]
-fn recover_window(
-    read: ColumnRead,
-    cfg: &RaellaConfig,
-    noise: &NoiseModel,
-    sliced: &SlicedView<'_>,
-    range: std::ops::Range<usize>,
-    levels: &[i16],
-    w_shift: u32,
-    window: Slice,
-    stats: &mut RunStats,
-    rng: &mut NoiseRng,
-) -> i64 {
-    let mut total = 0i64;
-    for b in (window.l..=window.h).rev() {
-        let xb = &sliced.bit_plane(b)[range.clone()];
-        let sum = read(xb, levels, noise, rng);
-        let out = cfg.adc.convert(sum);
-        stats.events.adc_converts += 1;
-        stats.recovery_converts += 1;
-        if cfg.adc.saturated(out) {
-            // Rare (§3.4): accept the clamped value and move on.
-            stats.recovery_saturations += 1;
-        }
-        total += out << (w_shift + b);
     }
     total
 }
@@ -1201,7 +1261,7 @@ fn recover_window(
 fn run_column_bitserial(
     cfg: &RaellaConfig,
     noise: &NoiseModel,
-    sliced: &SlicedView<'_>,
+    dense: &DensePlanes,
     range: std::ops::Range<usize>,
     levels: &[i16],
     w_shift: u32,
@@ -1209,9 +1269,8 @@ fn run_column_bitserial(
     rng: &mut NoiseRng,
 ) -> i64 {
     let mut total = 0i64;
-    for b in (0..8).rev() {
-        let xb = &sliced.bit_plane(b)[range.clone()];
-        let sum = column_sum(xb, levels, noise, rng);
+    for b in (0..INPUT_BITS as u32).rev() {
+        let sum = column_sum(&dense.bits[b as usize][range.clone()], levels, noise, rng);
         let out = cfg.adc.convert(sum);
         stats.events.adc_converts += 1;
         stats.bitserial_converts += 1;

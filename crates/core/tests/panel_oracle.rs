@@ -17,6 +17,13 @@
 //! counts sit on either side of each block edge, and drive the lanes to
 //! their proven bound: 5b cells holding ±31 levels under saturated
 //! (all-255) inputs.
+//!
+//! The panel kernel also visits only a plane's nonzero rows, and derives
+//! each recovered window's lowest bit from the window's sums instead of
+//! re-reading it; the scalar kernel scans every row and re-reads every
+//! bit. The sparse properties feed ReLU-like inputs (40–90% zero rows),
+//! all-zero vectors, and vectors whose nonzero rows all sit in one row
+//! group, with ADCs small enough that most windows recover.
 
 use proptest::prelude::*;
 
@@ -37,46 +44,56 @@ fn assert_kernels_agree(compiled: &CompiledLayer, inputs: &[Act], seed: u64) {
     let full = 0..compiled.group_count();
     let partial = full.start..(full.end).min(1).max(full.end.saturating_sub(1));
     for groups in [full, partial] {
-        let mut total_panel = RunStats::default();
-        let mut total_scalar = RunStats::default();
-        for (v, input) in inputs.chunks(compiled.filter_len()).enumerate() {
-            let mut panel_scratch = VectorScratch::for_layer(compiled);
-            let mut scalar_scratch = VectorScratch::for_layer(compiled);
-            let ps = run_vector_groups(
-                compiled,
-                input,
-                groups.clone(),
-                &mut panel_scratch,
-                seed,
-                v as u64,
-            );
-            let ss = run_vector_groups_reference(
-                compiled,
-                input,
-                groups.clone(),
-                &mut scalar_scratch,
-                seed,
-                v as u64,
-            );
-            prop_assert_eq!(
-                panel_scratch.accumulators(),
-                scalar_scratch.accumulators(),
-                "accumulators diverged: groups {:?} vector {}",
-                &groups,
-                v
-            );
-            prop_assert_eq!(
-                &ps,
-                &ss,
-                "per-vector stats diverged: groups {:?} vector {}",
-                &groups,
-                v
-            );
-            total_panel.merge(&ps);
-            total_scalar.merge(&ss);
-        }
-        prop_assert_eq!(total_panel, total_scalar);
+        assert_kernels_agree_on(compiled, inputs, seed, groups);
     }
+}
+
+/// [`assert_kernels_agree`] over one group range.
+fn assert_kernels_agree_on(
+    compiled: &CompiledLayer,
+    inputs: &[Act],
+    seed: u64,
+    groups: std::ops::Range<usize>,
+) {
+    let mut total_panel = RunStats::default();
+    let mut total_scalar = RunStats::default();
+    for (v, input) in inputs.chunks(compiled.filter_len()).enumerate() {
+        let mut panel_scratch = VectorScratch::for_layer(compiled);
+        let mut scalar_scratch = VectorScratch::for_layer(compiled);
+        let ps = run_vector_groups(
+            compiled,
+            input,
+            groups.clone(),
+            &mut panel_scratch,
+            seed,
+            v as u64,
+        );
+        let ss = run_vector_groups_reference(
+            compiled,
+            input,
+            groups.clone(),
+            &mut scalar_scratch,
+            seed,
+            v as u64,
+        );
+        prop_assert_eq!(
+            panel_scratch.accumulators(),
+            scalar_scratch.accumulators(),
+            "accumulators diverged: groups {:?} vector {}",
+            &groups,
+            v
+        );
+        prop_assert_eq!(
+            &ps,
+            &ss,
+            "per-vector stats diverged: groups {:?} vector {}",
+            &groups,
+            v
+        );
+        total_panel.merge(&ps);
+        total_scalar.merge(&ss);
+    }
+    prop_assert_eq!(total_panel, total_scalar);
 }
 
 /// `inputs` followed by saturated vectors: every magnitude 255 — all
@@ -239,5 +256,119 @@ proptest! {
             .expect("consistent layer");
         let inputs = with_saturated(layer.sample_inputs(2, seed ^ 0x0DDC0FFE), rows, signed);
         assert_kernels_agree(&compiled, &inputs, seed);
+    }
+}
+
+/// Zeroes about `zero_pct`% of `inputs`' rows (a fixed hash of `seed` and
+/// the position), the way a ReLU leaves a layer's inputs.
+fn sparsify(inputs: &mut [Act], zero_pct: u64, seed: u64) {
+    for (i, x) in inputs.iter_mut().enumerate() {
+        let mut h = seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^= h >> 31;
+        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        h ^= h >> 29;
+        if h % 100 < zero_pct {
+            *x = 0;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// ReLU-like inputs with 40–90% zero rows, then an all-zero vector, on
+    /// layers of up to four 64-row groups. 3–4b ADCs fail most windows, so
+    /// most recoveries derive their lowest bit from the window sums; a 7b
+    /// ADC is the paper's case. Ideal and noisy, signed and unsigned,
+    /// speculative and bit-serial: panel and scalar kernels agree
+    /// bit-for-bit.
+    #[test]
+    fn panel_kernel_is_bit_identical_on_sparse_inputs(
+        rows in 1usize..257,
+        filters in 1usize..90,
+        seed in 0u64..500,
+        zero_pct in 40u64..91,
+        slicing_pick in 0usize..3,
+        adc_pick in 0usize..3,
+        signed in any::<bool>(),
+        bitserial in any::<bool>(),
+        noisy in any::<bool>(),
+    ) {
+        let mut builder = SynthLayer::linear(rows, filters, seed);
+        if signed {
+            builder = builder.signed_inputs();
+        }
+        let layer = builder.build();
+        let slicing = match slicing_pick {
+            0 => Slicing::raella_default_weights(),
+            1 => Slicing::new(&[4, 4], 8).expect("consistent slicing"),
+            _ => Slicing::new(&[2, 4, 2], 8).expect("consistent slicing"),
+        };
+        let mut cfg = RaellaConfig {
+            crossbar_rows: 64,
+            crossbar_cols: 64,
+            ..RaellaConfig::default()
+        };
+        cfg.adc = AdcSpec::new([3, 4, 7][adc_pick], true);
+        if noisy {
+            cfg = cfg.with_noise(0.05);
+        }
+        if bitserial {
+            cfg = cfg.without_speculation();
+        }
+        let compiled = CompiledLayer::with_slicing(&layer, slicing, &cfg)
+            .expect("consistent layer");
+        let mut inputs = layer.sample_inputs(3, seed ^ 0x5EED);
+        sparsify(&mut inputs, zero_pct, seed);
+        inputs.extend(std::iter::repeat_n(0, rows));
+        assert_kernels_agree(&compiled, &inputs, seed);
+    }
+}
+
+/// Every nonzero row inside one row group of a three-group layer, at 64-
+/// and 512-row crossbars: the other groups' compacted subranges are empty
+/// and the busy group's sits mid-plane. Every group range — each group
+/// alone, pairs and the whole layer — with 3b and 7b ADCs, ideal and
+/// noisy, signed and unsigned, speculative and bit-serial.
+#[test]
+fn panel_kernel_is_exact_when_one_group_holds_every_nonzero_row() {
+    for crossbar_rows in [64, 512] {
+        let rows = 2 * crossbar_rows + crossbar_rows / 2 + 3;
+        for signed in [false, true] {
+            let mut builder = SynthLayer::linear(rows, 20, crossbar_rows as u64);
+            if signed {
+                builder = builder.signed_inputs();
+            }
+            let layer = builder.build();
+            let mut inputs = layer.sample_inputs(2, 77);
+            for (r, x) in inputs.iter_mut().enumerate() {
+                if !(crossbar_rows..2 * crossbar_rows).contains(&(r % rows)) {
+                    *x = 0;
+                }
+            }
+            for (noisy, bitserial, adc_bits) in
+                (0..8).map(|m| (m & 1 != 0, m & 2 != 0, [3, 7][m >> 2]))
+            {
+                let mut cfg = RaellaConfig {
+                    crossbar_rows,
+                    crossbar_cols: crossbar_rows,
+                    ..RaellaConfig::default()
+                };
+                cfg.adc = AdcSpec::new(adc_bits, true);
+                if noisy {
+                    cfg = cfg.with_noise(0.05);
+                }
+                if bitserial {
+                    cfg = cfg.without_speculation();
+                }
+                let compiled =
+                    CompiledLayer::with_slicing(&layer, Slicing::raella_default_weights(), &cfg)
+                        .expect("consistent layer");
+                assert_eq!(compiled.group_count(), 3);
+                for groups in [0..1, 1..2, 2..3, 0..2, 1..3, 0..3] {
+                    assert_kernels_agree_on(&compiled, &inputs, 5, groups);
+                }
+            }
+        }
     }
 }

@@ -46,6 +46,71 @@ proptest! {
     }
 }
 
+/// The brute-force Eq. (2) argmin: [`center_cost`] at every φ in
+/// `1..=255`, smallest φ on ties.
+fn brute_force_center(weights: &[u8], slicing: &Slicing) -> i32 {
+    let mut best = (1, f64::INFINITY);
+    for phi in 1..=255 {
+        let cost = center_cost(weights, slicing, phi);
+        if cost < best.1 {
+            best = (phi, cost);
+        }
+    }
+    best.0
+}
+
+/// Weight vectors for the center solver: arbitrary ones, and few-valued,
+/// symmetric ones whose costs tie across centers.
+fn arb_center_weights() -> impl Strategy<Value = Vec<u8>> {
+    (
+        any::<bool>(),
+        prop::collection::vec(0u8..=255, 1..96),
+        (0u8..=255, 0u8..=40, 1usize..6),
+    )
+        .prop_map(|(two_valued, arbitrary, (mid, half, n))| {
+            if two_valued {
+                let (lo, hi) = (mid.saturating_sub(half), mid.saturating_add(half));
+                (0..2 * n)
+                    .map(|i| if i % 2 == 0 { lo } else { hi })
+                    .collect()
+            } else {
+                arbitrary
+            }
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The occupied-bin solver returns the brute-force argmin of
+    /// `center_cost`, ties included, under every slicing the adaptive
+    /// search can try.
+    #[test]
+    fn optimal_center_matches_brute_force_for_every_slicing(weights in arb_center_weights()) {
+        for slicing in Slicing::enumerate(8, 4) {
+            prop_assert_eq!(
+                optimal_center(&weights, &slicing),
+                brute_force_center(&weights, &slicing),
+                "slicing {}",
+                slicing
+            );
+        }
+    }
+}
+
+/// Two-valued filters tie Eq. (2)'s cost across centers; the solver must
+/// break the tie towards the smallest φ, as the brute-force scan does.
+#[test]
+fn optimal_center_breaks_cost_ties_towards_the_smallest_center() {
+    let weights = [100u8, 101];
+    let slicing = Slicing::uniform(1, 8);
+    let best = brute_force_center(&weights, &slicing);
+    let cost = center_cost(&weights, &slicing, best);
+    let tied = (best + 1..=255).filter(|&phi| center_cost(&weights, &slicing, phi) == cost);
+    assert!(tied.count() > 0, "the fixture must tie");
+    assert_eq!(optimal_center(&weights, &slicing), best);
+}
+
 /// A small random layer for engine equivalence properties.
 fn arb_layer() -> impl Strategy<Value = MatrixLayer> {
     (2usize..5, 8usize..40, 0u64..1000).prop_map(|(filters, len, seed)| {

@@ -133,19 +133,28 @@ impl Conv2d {
         let (h, w) = (shape[1], shape[2]);
         let (oh, ow) = self.out_hw(h, w)?;
         cols.reserve(oh * ow * self.layer.filter_len());
+        let data = input.as_slice();
+        let (k, pad) = (self.k, self.padding);
         for oy in 0..oh {
             for ox in 0..ow {
                 for c in 0..self.in_c {
-                    for ky in 0..self.k {
-                        for kx in 0..self.k {
-                            let iy = (oy * self.stride + ky) as isize - self.padding as isize;
-                            let ix = (ox * self.stride + kx) as isize - self.padding as isize;
-                            let v = if iy < 0 || ix < 0 || iy >= h as isize || ix >= w as isize {
+                    let channel = &data[c * h * w..(c + 1) * h * w];
+                    for ky in 0..k {
+                        // Padded coordinates: input row `y − pad` exists
+                        // iff `pad ≤ y < h + pad`.
+                        let y = oy * self.stride + ky;
+                        if y < pad || y >= h + pad {
+                            cols.extend(std::iter::repeat_n(0, k));
+                            continue;
+                        }
+                        let row = &channel[(y - pad) * w..(y - pad + 1) * w];
+                        for kx in 0..k {
+                            let x = ox * self.stride + kx;
+                            cols.push(if x < pad || x >= w + pad {
                                 0
                             } else {
-                                Act::from(input.get(&[c, iy as usize, ix as usize]))
-                            };
-                            cols.push(v);
+                                Act::from(row[x - pad])
+                            });
                         }
                     }
                 }
@@ -188,10 +197,10 @@ impl Conv2d {
         // Engine output is [pixel][filter]; transpose to CHW.
         let filters = self.layer.filters();
         let mut out = Tensor::zeros(&[filters, oh, ow]);
+        let map = out.as_mut_slice();
         for (pix, chunk) in flat.chunks_exact(filters).enumerate() {
-            let (oy, ox) = (pix / ow, pix % ow);
             for (f, &v) in chunk.iter().enumerate() {
-                out.set(&[f, oy, ox], v);
+                map[f * oh * ow + pix] = v;
             }
         }
         Ok(out)
@@ -470,6 +479,60 @@ mod tests {
         // Center pixel sees all 9 ones; corners see only 4.
         assert_eq!(out.get(&[0, 1, 1]), 9);
         assert_eq!(out.get(&[0, 0, 0]), 4);
+    }
+
+    /// The sliced im2col equals the coordinate definition — every column
+    /// entry `input[c, oy·s + ky − p, ox·s + kx − p]`, zero off the map —
+    /// across channels, strides, paddings and non-square maps.
+    #[test]
+    fn im2col_matches_coordinate_definition() {
+        for (c, h, w, k, stride, pad) in [
+            (1, 3, 3, 2, 1, 0),
+            (2, 5, 4, 3, 1, 1),
+            (3, 6, 7, 3, 2, 1),
+            (2, 4, 4, 1, 2, 0),
+            (1, 2, 3, 3, 1, 2),
+        ] {
+            let quant = OutputQuant::new(vec![1.0], vec![0.0], vec![0]);
+            let layer = MatrixLayer::new(
+                "conv",
+                1,
+                c * k * k,
+                vec![1; c * k * k],
+                quant,
+                InputProfile::relu_default(),
+            )
+            .unwrap();
+            let conv = Conv2d::new(layer, c, k, stride, pad).unwrap();
+            let data = (0..c * h * w).map(|i| (i * 7 % 251) as u8).collect();
+            let input = Tensor::from_vec(data, &[c, h, w]).unwrap();
+            let (oh, ow) = conv.out_hw(h, w).unwrap();
+            let mut expected = Vec::new();
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    for ch in 0..c {
+                        for ky in 0..k {
+                            for kx in 0..k {
+                                let y = (oy * stride + ky) as isize - pad as isize;
+                                let x = (ox * stride + kx) as isize - pad as isize;
+                                let inside =
+                                    (0..h as isize).contains(&y) && (0..w as isize).contains(&x);
+                                expected.push(if inside {
+                                    Act::from(input.get(&[ch, y as usize, x as usize]))
+                                } else {
+                                    0
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+            assert_eq!(
+                conv.im2col(&input).unwrap(),
+                expected,
+                "{c}×{h}×{w} k{k} s{stride} p{pad}"
+            );
+        }
     }
 
     #[test]

@@ -186,11 +186,7 @@ impl IsaacEngine {
                                 let bit = i64::from((plane[start + r] >> b) & 1);
                                 sum += bit * lev;
                             }
-                            let read = if self.noise.is_ideal() {
-                                sum
-                            } else {
-                                self.noise.sample(sum, 0, rng)
-                            };
+                            let read = self.noise.read(sum, sum, rng);
                             self.stats.events.adc_converts += 1;
                             self.stats.events.device_charge += sum.max(0) as u64;
                             *acc += sign * (read << (ws.shift() + b));

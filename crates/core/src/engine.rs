@@ -325,18 +325,6 @@ fn upper_bit_sums<const BITS: usize, const NOISY: bool>(
     sums
 }
 
-/// The analog read of a column with signed sum `w = Σxl` and total charge
-/// `a = Σx|l|`: `w` itself when ideal, else a noise draw over the charge
-/// split — positive-level products are N⁺, so N⁺ = (a + w)/2 and
-/// N⁻ = (a − w)/2 exactly (both sums have equal parity).
-fn analog_read(noise: &NoiseModel, w: i64, a: i64, rng: &mut NoiseRng) -> i64 {
-    if noise.is_ideal() {
-        w
-    } else {
-        noise.sample((a + w) / 2, (a - w) / 2, rng)
-    }
-}
-
 /// Converts one recovery read and counts it. A saturation is accepted and
 /// propagated (rare, §3.4).
 fn recovery_convert(cfg: &RaellaConfig, sum: i64, stats: &mut RunStats) -> i64 {
@@ -385,7 +373,7 @@ fn recover_window(
         };
         w -= wb << (b - window.l);
         a -= ab << (b - window.l);
-        total += recovery_convert(cfg, analog_read(noise, wb, ab, rng), stats) << (w_shift + b);
+        total += recovery_convert(cfg, noise.read(wb, ab, rng), stats) << (w_shift + b);
     }
     total
 }
@@ -874,8 +862,7 @@ pub fn run_vector_groups_at_age(
                                 for (j, window) in SPEC_WINDOWS.iter().enumerate() {
                                     let idx = (s * windows + j) * PANEL_WIDTH + i;
                                     let (w, a) = (wsum[idx].into(), asum[idx].into());
-                                    let out =
-                                        analog_read(&noise, w, a, rng).clamp(adc_min, adc_max);
+                                    let out = noise.read(w, a, rng).clamp(adc_min, adc_max);
                                     if out == adc_min || out == adc_max {
                                         // Speculation failed: recover with
                                         // 1b slices of this window (rare,
@@ -901,8 +888,7 @@ pub fn run_vector_groups_at_age(
                                 for b in (0..INPUT_BITS as u32).rev() {
                                     let idx = (s * windows + (7 - b) as usize) * PANEL_WIDTH + i;
                                     let (w, a) = (wsum[idx].into(), asum[idx].into());
-                                    let out =
-                                        analog_read(&noise, w, a, rng).clamp(adc_min, adc_max);
+                                    let out = noise.read(w, a, rng).clamp(adc_min, adc_max);
                                     if out == adc_min || out == adc_max {
                                         stats.bitserial_saturations += 1;
                                     }
@@ -1090,38 +1076,16 @@ impl DensePlanes {
     }
 }
 
-/// Ideal signed dot product `Σ xs·level` (i32 is safe: ≤ 512·15·255).
-fn dot(xs: &[u16], levels: &[i16]) -> i64 {
-    let mut sum = 0i32;
-    for (&x, &l) in xs.iter().zip(levels) {
-        sum += i32::from(x) * i32::from(l);
-    }
-    i64::from(sum)
-}
-
-/// Positive/negative charge split for the noise model.
-fn dot_charge(xs: &[u16], levels: &[i16]) -> (i64, i64) {
-    let mut pos = 0i64;
-    let mut neg = 0i64;
-    for (&x, &l) in xs.iter().zip(levels) {
-        let p = i64::from(x) * i64::from(l);
-        if p >= 0 {
-            pos += p;
-        } else {
-            neg -= p;
-        }
-    }
-    (pos, neg)
-}
-
-/// One analog column read in the scalar oracle: ideal or noisy sum.
+/// One analog column read in the scalar oracle: the signed sum `Σ xs·level`
+/// (`N⁺ − N⁻`) and its charge `Σ xs·|level|` (`N⁺ + N⁻`) through the noise
+/// model.
 fn column_sum(xs: &[u16], levels: &[i16], noise: &NoiseModel, rng: &mut NoiseRng) -> i64 {
-    if noise.is_ideal() {
-        dot(xs, levels)
-    } else {
-        let (pos, neg) = dot_charge(xs, levels);
-        noise.sample(pos, neg, rng)
+    let (mut sum, mut charge) = (0i64, 0i64);
+    for (&x, &l) in xs.iter().zip(levels) {
+        sum += i64::from(x) * i64::from(l);
+        charge += i64::from(x) * i64::from(l.unsigned_abs());
     }
+    noise.read(sum, charge, rng)
 }
 
 /// Crossbar charge of one column-cycle set: `Σ mass·|level|` over the rows

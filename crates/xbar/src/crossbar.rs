@@ -224,11 +224,8 @@ impl SignedCrossbar {
         noise: &NoiseModel,
         rng: &mut NoiseRng,
     ) -> i64 {
-        if noise.is_ideal() {
-            return self.column_sum(col, inputs);
-        }
         let (pos, neg) = self.column_charge(col, inputs);
-        noise.sample(pos, neg, rng)
+        noise.read(pos - neg, pos + neg, rng)
     }
 }
 
@@ -301,11 +298,7 @@ impl UnsignedCrossbar {
         rng: &mut NoiseRng,
     ) -> i64 {
         let sum = self.column_sum(col, inputs);
-        if noise.is_ideal() {
-            sum
-        } else {
-            noise.sample(sum, 0, rng)
-        }
+        noise.read(sum, sum, rng)
     }
 }
 

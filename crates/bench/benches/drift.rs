@@ -30,7 +30,7 @@ use std::time::Instant;
 
 use raella_arch::tile::TileSpec;
 use raella_core::model::CompiledModel;
-use raella_core::server::RaellaServer;
+use raella_core::server::{Admission, RaellaServer};
 use raella_core::{DeviceLifetime, RaellaConfig, ShardPlan, SharedCompileCache};
 use raella_nn::graph::Graph;
 use raella_nn::rng::SynthRng;
@@ -142,7 +142,7 @@ fn main() {
         // Age the device a little between swaps so each recalibration is
         // a realistic mid-lifetime one, not a no-traffic degenerate.
         let resp = server
-            .submit(image.clone())
+            .submit(0, image.clone(), Admission::Block)
             .expect("admits")
             .wait()
             .expect("request succeeds");
@@ -189,7 +189,7 @@ fn main() {
                 workers.push(scope.spawn(move || {
                     for _ in 0..DRILL_ROUNDS {
                         server
-                            .submit(image.clone())
+                            .submit(0, image.clone(), Admission::Block)
                             .expect("unbounded submit admits")
                             .wait()
                             .expect("request completes across the reroute");
@@ -198,7 +198,7 @@ fn main() {
             }
             // Let traffic start, then kill the tile under it.
             server
-                .submit(image.clone())
+                .submit(0, image.clone(), Admission::Block)
                 .expect("admits")
                 .wait()
                 .expect("warm-up request completes");

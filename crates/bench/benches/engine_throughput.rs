@@ -1,5 +1,6 @@
 //! Engine throughput baseline: vectors/second through the serial
-//! `run_batch` and the default parallel `run_batch_parallel` path, on the
+//! `run_batch_at_age` and the default parallel `run_batch_parallel_at_age`
+//! path (first vector 0, un-aged device), on the
 //! paper's standard 512-row crossbar shape.
 //!
 //! Run with `cargo bench --bench engine_throughput`. Writes the measured
@@ -19,7 +20,7 @@ use std::io::Write;
 use criterion::Criterion;
 
 use raella_core::compiler::CompiledLayer;
-use raella_core::engine::{run_batch, run_batch_parallel, RunStats};
+use raella_core::engine::{run_batch_at_age, run_batch_parallel_at_age, RunStats};
 use raella_core::parallel::worker_count;
 use raella_core::RaellaConfig;
 use raella_nn::synth::SynthLayer;
@@ -45,8 +46,8 @@ fn bench_one(c: &mut Criterion, name: &'static str, noise: f64) -> Measured {
     let mut s1 = RunStats::default();
     let mut s2 = RunStats::default();
     assert_eq!(
-        run_batch(&compiled, &inputs, &mut s1, 7),
-        run_batch_parallel(&compiled, &inputs, &mut s2, 7),
+        run_batch_at_age(&compiled, &inputs, &mut s1, 7, 0, 0),
+        run_batch_parallel_at_age(&compiled, &inputs, &mut s2, 7, 0, 0),
         "parallel engine diverged from serial"
     );
     assert_eq!(s1, s2, "parallel stats diverged from serial");
@@ -54,7 +55,7 @@ fn bench_one(c: &mut Criterion, name: &'static str, noise: f64) -> Measured {
     c.bench_function(&format!("engine_serial_{name}"), |b| {
         b.iter(|| {
             let mut stats = RunStats::default();
-            run_batch(&compiled, &inputs, &mut stats, 7)
+            run_batch_at_age(&compiled, &inputs, &mut stats, 7, 0, 0)
         })
     });
     let serial = c.last_estimate().expect("serial estimate");
@@ -62,7 +63,7 @@ fn bench_one(c: &mut Criterion, name: &'static str, noise: f64) -> Measured {
     c.bench_function(&format!("engine_parallel_{name}"), |b| {
         b.iter(|| {
             let mut stats = RunStats::default();
-            run_batch_parallel(&compiled, &inputs, &mut stats, 7)
+            run_batch_parallel_at_age(&compiled, &inputs, &mut stats, 7, 0, 0)
         })
     });
     let parallel = c.last_estimate().expect("parallel estimate");

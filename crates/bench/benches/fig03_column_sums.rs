@@ -8,7 +8,7 @@
 
 use raella_bench::{header, pct, table};
 use raella_core::compiler::CompiledLayer;
-use raella_core::engine::RunStats;
+use raella_core::engine::{run_batch_parallel_at_age, RunStats};
 use raella_core::probe::{Probe, ProbeEncoding};
 use raella_core::RaellaConfig;
 use raella_nn::stats::{fraction_within_bits, max_resolution_bits, percentile};
@@ -106,7 +106,7 @@ fn main() {
     let compiled = CompiledLayer::compile(&layer, &cfg).expect("compiles");
     let inputs = layer.sample_inputs(16, 0x000F_163E);
     let mut stats = RunStats::default();
-    compiled.run(&inputs, &mut stats, 1);
+    run_batch_parallel_at_age(&compiled, &inputs, &mut stats, 1, 0, 0);
     println!(
         "\n  engine: speculation failure rate {} (paper ~2%), residual recovery saturation {} (paper ~0.1%)",
         pct(stats.spec_failure_rate()),

@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use raella_core::adaptive::find_best_slicing;
 use raella_core::center::optimal_center;
 use raella_core::compiler::CompiledLayer;
-use raella_core::engine::{run_batch, RunStats};
+use raella_core::engine::{run_batch_at_age, RunStats};
 use raella_core::RaellaConfig;
 use raella_nn::synth::SynthLayer;
 use raella_xbar::slicing::Slicing;
@@ -22,7 +22,7 @@ fn bench_crossbar_run(c: &mut Criterion) {
     c.bench_function("kernel_crossbar_run_512x32x4vec", |b| {
         b.iter_batched(
             RunStats::default,
-            |mut stats| run_batch(&compiled, &inputs, &mut stats, 0),
+            |mut stats| run_batch_at_age(&compiled, &inputs, &mut stats, 0, 0, 0),
             BatchSize::SmallInput,
         )
     });

@@ -14,13 +14,13 @@
 //! per-config ratios, the worker count, and p50/p99 queue latency per
 //! batch budget, plus an **overload** record: two models behind a
 //! depth-bounded queue under skewed traffic (hot model spamming
-//! `try_submit_to`, trickle model blocking `submit_to`), reporting
+//! fail-fast `submit`s, trickle model blocking ones), reporting
 //! completed requests/sec and the admission rejection rate.
 
 use std::io::Write;
 use std::time::Instant;
 
-use raella_core::server::RaellaServer;
+use raella_core::server::{Admission, RaellaServer};
 use raella_core::{CoreError, RaellaConfig, SharedCompileCache};
 use raella_nn::models::mini::mini_resnet18;
 use raella_nn::tensor::Tensor;
@@ -37,7 +37,7 @@ const REPS: usize = 3;
 fn run_burst(server: &RaellaServer, images: &[Tensor<u8>]) -> (f64, Vec<u64>) {
     let t0 = Instant::now();
     let handles = server
-        .submit_many(images.iter().cloned())
+        .submit_many(0, images.iter().cloned())
         .expect("unbounded burst admits");
     let responses = RaellaServer::wait_all(handles).expect("requests succeed");
     let elapsed = t0.elapsed().as_secs_f64();
@@ -81,7 +81,7 @@ fn main() {
     let serial_server = build(1, 8, 200);
     let serial_responses: Vec<_> = {
         let handles = serial_server
-            .submit_many(images.iter().cloned())
+            .submit_many(0, images.iter().cloned())
             .expect("unbounded burst admits");
         RaellaServer::wait_all(handles).expect("serial burst succeeds")
     };
@@ -120,7 +120,7 @@ fn main() {
         // Sanity: coalesced serving must agree with the serial server
         // bit-for-bit before we time it.
         let handles = server
-            .submit_many(images.iter().cloned())
+            .submit_many(0, images.iter().cloned())
             .expect("unbounded burst admits");
         let parallel = RaellaServer::wait_all(handles).expect("burst succeeds");
         for (i, (resp, want)) in parallel.iter().zip(&serial_outputs).enumerate() {
@@ -157,12 +157,13 @@ fn main() {
     // ---- overload: two models, skewed traffic, bounded queue ----
     // The second model is the same graph — the shared cache absorbs its
     // whole compile, and model identity is all the fairness policy sees.
-    // Two hot submitters spam `try_submit_to(0, ..)` against a depth-8
-    // queue (rejections counted, not retried) while a trickle submitter
-    // pushes blocking `submit_to(1, ..)` traffic; per-model round-robin
-    // keeps the trickle lane flowing. Records completed req/s and the
-    // admission rejection rate; every delivered response is still
-    // asserted bit-identical to the serial server first.
+    // Two hot submitters spam `submit(0, .., Admission::Fail)` against a
+    // depth-8 queue (rejections counted, not retried) while a trickle
+    // submitter pushes `submit(1, .., Admission::Block)` traffic;
+    // per-model round-robin keeps the trickle lane flowing. Records
+    // completed req/s and the admission rejection rate; every delivered
+    // response is still asserted bit-identical to the serial server
+    // first.
     const HOT_ATTEMPTS: usize = 3 * REQUESTS;
     const TRICKLE: usize = 8;
     let overload_server = RaellaServer::builder()
@@ -186,7 +187,7 @@ fn main() {
                 let mut rejected = 0u64;
                 for k in 0..HOT_ATTEMPTS {
                     let idx = (submitter * HOT_ATTEMPTS + k) % REQUESTS;
-                    match overload_server.try_submit_to(0, images[idx].clone()) {
+                    match overload_server.submit(0, images[idx].clone(), Admission::Fail) {
                         Ok(handle) => delivered.push((idx, handle)),
                         Err(CoreError::QueueFull { .. }) => rejected += 1,
                         Err(other) => panic!("unexpected admission error: {other}"),
@@ -200,7 +201,7 @@ fn main() {
             for k in 0..TRICKLE {
                 let idx = k % REQUESTS;
                 let handle = overload_server
-                    .submit_to(1, images[idx].clone())
+                    .submit(1, images[idx].clone(), Admission::Block)
                     .expect("blocking trickle submit admits");
                 delivered.push((idx, handle));
             }

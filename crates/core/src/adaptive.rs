@@ -25,7 +25,7 @@ use raella_xbar::slicing::Slicing;
 
 use crate::compiler::CompiledLayer;
 use crate::config::RaellaConfig;
-use crate::engine::{run_batch, RunStats};
+use crate::engine::{run_batch_at_age, RunStats};
 use crate::error::CoreError;
 
 /// Outcome of the slicing search.
@@ -116,7 +116,7 @@ fn evaluate_one(
     let salt: u64 = slicing.widths().iter().fold(0u64, |acc, &w| {
         acc.wrapping_mul(31).wrapping_add(u64::from(w))
     });
-    let outputs = run_batch(&compiled, inputs, &mut stats, search_cfg.seed ^ salt);
+    let outputs = run_batch_at_age(&compiled, inputs, &mut stats, search_cfg.seed ^ salt, 0, 0);
     mean_error_nonzero(expected, &outputs)
 }
 

@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
-use raella_nn::matrix::{Act, MatrixLayer};
+use raella_nn::matrix::MatrixLayer;
 use raella_nn::quant::OutputQuant;
 use raella_xbar::noise::NoiseRng;
 use raella_xbar::slicing::{Slice, Slicing};
@@ -21,7 +21,7 @@ use crate::accuracy::FidelityReport;
 use crate::adaptive;
 use crate::center::{offsets, optimal_center};
 use crate::config::{RaellaConfig, WeightEncoding};
-use crate::engine::{run_batch_parallel, run_batch_parallel_at_age, RunStats};
+use crate::engine::{run_batch_parallel_at_age, RunStats};
 use crate::error::CoreError;
 
 /// Filters per cache-blocked column panel in the packed level layout
@@ -401,19 +401,6 @@ impl CompiledLayer {
             .iter()
             .map(|gs| gs.len() * self.columns_per_filter())
             .sum()
-    }
-
-    /// Runs a batch of input vectors through the analog engine, collecting
-    /// statistics into `stats`. Vectors fan out across worker threads;
-    /// per-vector noise streams are derived from `noise_seed`, so results
-    /// are bit-identical at any thread count (see
-    /// [`crate::engine::run_batch_parallel`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` is not a multiple of `filter_len`.
-    pub fn run(&self, inputs: &[Act], stats: &mut RunStats, noise_seed: u64) -> Vec<u8> {
-        run_batch_parallel(self, inputs, stats, noise_seed)
     }
 
     /// Compares analog outputs against the integer reference on `vectors`

@@ -27,7 +27,7 @@ use raella_nn::tensor::Tensor;
 use crate::engine::RunStats;
 use crate::error::CoreError;
 use crate::model::CompiledModel;
-use crate::shard::ShardPlan;
+use crate::shard::{run_image_placed, ShardPlan};
 
 impl RunStats {
     /// The additive, price-relevant event counters of this run — the
@@ -155,8 +155,17 @@ impl CompiledModel {
     ///
     /// Propagates operator shape errors for a mis-shaped image.
     pub fn energy_profile(&self, image: &Tensor<u8>) -> Result<EnergyProfile, CoreError> {
-        let mut arena = ValueArena::new();
-        let (_, stats, per_node) = self.run_image_layers_at_age(image, &mut arena, true, 0)?;
+        let mut per_node = vec![RunStats::default(); self.compiled_layers().len()];
+        let (_, tiles) = run_image_placed(
+            self,
+            None,
+            image,
+            &mut ValueArena::new(),
+            true,
+            0,
+            Some(&mut per_node),
+        )?;
+        let stats = tiles[0];
         let meter = self.energy_meter();
         let layers = self
             .graph()

@@ -18,30 +18,38 @@
 //!
 //! # Execution model
 //!
-//! The unit of work is one input vector. [`run_vector`] is a pure kernel:
-//! it reads the compiled layer and one vector, scribbles only in a
-//! caller-owned [`VectorScratch`] (no per-vector allocation), writes the
-//! vector's outputs into a caller-provided slice, and returns a local
-//! [`RunStats`] delta. Nothing is shared between vectors, so
-//! [`run_batch_parallel`] fans vectors across threads and merges the
-//! deltas — producing output bytes and statistics bit-identical to serial
-//! [`run_batch`] at any thread count, noisy or not.
+//! The unit of work is one input vector. Each level of execution has one
+//! entry point, taking the full `(noise_seed, first vector, device age)`
+//! coordinates; pass `0` for the first vector and the age to run a fresh
+//! batch on an un-aged device.
+//!
+//! * [`run_vector_groups_at_age`] is the pure kernel: it reads the
+//!   compiled layer and one vector's row groups, scribbles only in a
+//!   caller-owned [`VectorScratch`] (no per-vector allocation), and
+//!   returns a local [`RunStats`] delta; [`finalize_vector`] requantizes
+//!   the vector's reduced accumulators.
+//! * [`run_batch_at_age`] runs a batch serially, and
+//!   [`run_batch_parallel_at_age`] fans contiguous vector blocks across
+//!   threads and merges the deltas. Nothing is shared between vectors, so
+//!   both produce bit-identical output bytes and statistics at any thread
+//!   count, noisy or not. Both run the same private per-vector loop.
 //!
 //! # Row-range execution (tile sharding)
 //!
 //! A vector's work further decomposes along the layer's crossbar row
-//! groups. [`run_vector_groups`] computes the partial accumulators of any
-//! contiguous group range (the work one simulated tile owns), and
-//! [`finalize_vector`] turns fully reduced accumulators into requantized
-//! outputs. Noise is drawn from per-`(vector, row-group)` counter-derived
-//! substreams ([`NoiseRng::for_substream`]`(seed, vector_index, group)`) —
-//! keyed by the crossbar region's stable coordinates, never by read order
-//! — so *any* partition of row groups across tiles, run in any order on
-//! any threads, draws exactly the noise the monolithic engine draws.
-//! Partial accumulators merge by elementwise `i64` addition (exact,
-//! associative, commutative) and statistics by [`RunStats::merge`], which
-//! is what makes tile placement pure scheduling
-//! (`crates/core/tests/shard_determinism.rs`).
+//! groups. [`run_batch_groups_at_age`] computes the partial accumulators
+//! of any contiguous group range (the work one simulated tile owns) for a
+//! batch, and [`finalize_vector`] turns fully reduced accumulators into
+//! requantized outputs. Noise is drawn from per-`(vector, row-group)`
+//! counter-derived substreams
+//! ([`NoiseRng::for_substream_aged`]`(seed, vector_index, group, epoch)`)
+//! — keyed by the crossbar region's stable coordinates, never by read
+//! order — so *any* partition of row groups across tiles, run in any
+//! order on any threads, draws exactly the noise the monolithic engine
+//! draws. Partial accumulators merge by elementwise `i64` addition
+//! (exact, associative, commutative) and statistics by
+//! [`RunStats::merge`], which is what makes tile placement pure
+//! scheduling (`crates/core/tests/shard_determinism.rs`).
 //!
 //! # Kernel structure (compacted rows, fused column panels)
 //!
@@ -67,7 +75,7 @@
 //!
 //! The phase split is safe because analog sums are pure integer
 //! reductions (commutative even under wraparound) and noise enters only
-//! at conversion; [`run_vector_groups_reference`] retains a scalar
+//! at conversion; [`run_vector_groups_reference_at_age`] retains a scalar
 //! kernel over dense input planes with its own `i32`/`i64` arithmetic,
 //! and `crates/core/tests/panel_oracle.rs` pins the two against each
 //! other — outputs, statistics, and noise-stream consumption bit for bit.
@@ -391,42 +399,20 @@ fn count_crossbar_events(cycles: u64, entries: &[Entry], crossbars: u64, stats: 
     stats.events.row_activations += active * crossbars;
 }
 
-/// Runs a batch of input vectors through a compiled layer, serially.
+/// Runs a batch of input vectors through a compiled layer, serially, on a
+/// device aged `base_age` served vectors since its last programming.
 ///
 /// Input layout matches [`MatrixLayer::reference_outputs`]; the output has
-/// `filters` values per vector. Per-vector noise streams are derived from
-/// `noise_seed` and the vector's index, so the result is bit-identical to
-/// [`run_batch_parallel`] with the same arguments.
+/// `filters` values per vector. Vector `i` draws noise from substreams
+/// keyed by `(noise_seed, first_vector + i)` and runs at device age
+/// `base_age + first_vector + i`, so a batch split at any point and
+/// resumed with the same indices reproduces the whole batch exactly, and
+/// engines that stream several batches get fresh noise per batch by
+/// advancing `first_vector`. Age 0 is bit-identical to an un-aged device.
 ///
 /// # Panics
 ///
 /// Panics if `inputs.len()` is not a multiple of the layer's `filter_len`.
-pub fn run_batch(
-    layer: &CompiledLayer,
-    inputs: &[Act],
-    stats: &mut RunStats,
-    noise_seed: u64,
-) -> Vec<u8> {
-    run_batch_at(layer, inputs, stats, noise_seed, 0)
-}
-
-/// [`run_batch`] with the batch's first global vector index, for engines
-/// that stream multiple batches and want fresh noise per batch.
-pub fn run_batch_at(
-    layer: &CompiledLayer,
-    inputs: &[Act],
-    stats: &mut RunStats,
-    noise_seed: u64,
-    first_vector: u64,
-) -> Vec<u8> {
-    run_batch_at_age(layer, inputs, stats, noise_seed, first_vector, 0)
-}
-
-/// [`run_batch_at`] on a device aged `base_age` served vectors since its
-/// last programming. Age 0 is bit-identical to [`run_batch_at`]; each
-/// vector `i` runs at device age `base_age + first_vector + i`, so a batch
-/// split at any point and resumed with the same indices reproduces the
-/// whole batch exactly.
 pub fn run_batch_at_age(
     layer: &CompiledLayer,
     inputs: &[Act],
@@ -435,69 +421,60 @@ pub fn run_batch_at_age(
     first_vector: u64,
     base_age: u64,
 ) -> Vec<u8> {
-    let n_vectors = batch_vectors(layer, inputs);
-    let mut out = vec![0u8; n_vectors * layer.filters()];
-    let mut scratch = VectorScratch::for_layer(layer);
-    for (i, (vec, out_chunk)) in inputs
-        .chunks_exact(layer.filter_len())
-        .zip(out.chunks_exact_mut(layer.filters()))
-        .enumerate()
-    {
-        let local = run_vector_at_age(
-            layer,
-            vec,
-            &mut scratch,
-            noise_seed,
-            first_vector + i as u64,
-            base_age,
-            out_chunk,
-        );
-        stats.merge(&local);
-    }
-    out
+    run_batch_blocks(layer, inputs, stats, noise_seed, first_vector, base_age, 1)
+}
+
+/// [`run_batch_at_age`] with vectors fanned across worker threads
+/// (`RAELLA_THREADS` pins the count).
+///
+/// Bit-identical to the serial path — outputs *and* statistics — at any
+/// thread count, noisy or not and at any age: a vector's noise streams and
+/// drift epoch depend only on `(noise_seed, vector index, base_age)`, never
+/// on which worker runs it, and [`RunStats::merge`] is commutative. This
+/// is the default path of [`CompiledLayer::check_fidelity`] and
+/// [`RaellaEngine`].
+///
+/// # Panics
+///
+/// Panics if `inputs.len()` is not a multiple of the layer's `filter_len`.
+pub fn run_batch_parallel_at_age(
+    layer: &CompiledLayer,
+    inputs: &[Act],
+    stats: &mut RunStats,
+    noise_seed: u64,
+    first_vector: u64,
+    base_age: u64,
+) -> Vec<u8> {
+    let threads = worker_count(batch_vectors(layer, inputs));
+    run_batch_blocks(
+        layer,
+        inputs,
+        stats,
+        noise_seed,
+        first_vector,
+        base_age,
+        threads,
+    )
 }
 
 /// Row-range batch entry point for tile-sharded execution: accumulates the
 /// partial sums of the row groups in `groups` for every vector of `inputs`
-/// into `acc` (`n_vectors × filters` signed accumulators, zeroed here),
-/// merging the range's crossbar statistics into `stats`.
+/// into `acc` (`n_vectors × filters` signed accumulators, overwritten
+/// here), merging the range's crossbar statistics into `stats`. Vector
+/// indices and device ages follow [`run_batch_at_age`].
 ///
 /// Summing every range of a partition's `acc` buffers elementwise (the
 /// inter-tile accumulator reduction — exact `i64` addition) and calling
-/// [`finalize_vector`] per vector reproduces [`run_batch_at`] bit for bit,
-/// outputs and merged statistics alike, for *any* partition of
-/// `0..group_count` — noise substreams are keyed per `(vector, group)`,
-/// never by read order.
+/// [`finalize_vector`] per vector reproduces [`run_batch_at_age`] bit for
+/// bit, outputs and merged statistics alike, for *any* partition of
+/// `0..group_count` and at any age — noise substreams are keyed per
+/// `(vector, group, epoch)`, never by read order.
 ///
 /// # Panics
 ///
 /// Panics if `inputs.len()` is not a multiple of the layer's `filter_len`,
 /// if `acc.len()` is not `n_vectors × filters`, or if `groups` is out of
 /// bounds.
-pub fn run_batch_groups_at(
-    layer: &CompiledLayer,
-    inputs: &[Act],
-    groups: std::ops::Range<usize>,
-    stats: &mut RunStats,
-    noise_seed: u64,
-    first_vector: u64,
-    acc: &mut [i64],
-) {
-    run_batch_groups_at_age(
-        layer,
-        inputs,
-        groups,
-        stats,
-        noise_seed,
-        first_vector,
-        0,
-        acc,
-    );
-}
-
-/// [`run_batch_groups_at`] on a device aged `base_age` served vectors —
-/// the sharded row-range path at any point in the device's lifetime. Age 0
-/// is bit-identical to [`run_batch_groups_at`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_batch_groups_at_age(
     layer: &CompiledLayer,
@@ -509,112 +486,96 @@ pub fn run_batch_groups_at_age(
     base_age: u64,
     acc: &mut [i64],
 ) {
-    let n_vectors = batch_vectors(layer, inputs);
+    let filters = layer.filters();
     assert_eq!(
         acc.len(),
-        n_vectors * layer.filters(),
+        batch_vectors(layer, inputs) * filters,
         "accumulator size mismatch"
     );
-    let mut scratch = VectorScratch::for_layer(layer);
-    for (i, (vec, acc_chunk)) in inputs
-        .chunks_exact(layer.filter_len())
-        .zip(acc.chunks_exact_mut(layer.filters()))
-        .enumerate()
-    {
-        scratch.acc.fill(0);
-        let local = run_vector_groups_at_age(
-            layer,
-            vec,
-            groups.clone(),
-            &mut scratch,
-            noise_seed,
-            first_vector + i as u64,
-            base_age,
-        );
-        stats.merge(&local);
-        acc_chunk.copy_from_slice(&scratch.acc);
-    }
+    let local = run_vectors(
+        layer,
+        inputs,
+        groups,
+        noise_seed,
+        first_vector,
+        base_age,
+        |i, _, partial| {
+            acc[i * filters..(i + 1) * filters].copy_from_slice(partial);
+            RunStats::default()
+        },
+    );
+    stats.merge(&local);
 }
 
-/// Runs a batch of input vectors through a compiled layer, fanning vectors
-/// across worker threads.
-///
-/// Bit-identical to [`run_batch`] — outputs *and* statistics — at any
-/// thread count (set `RAELLA_THREADS` to pin it), including under a noisy
-/// [`NoiseModel`], because each vector's noise stream depends only on
-/// `(noise_seed, vector index)` and [`RunStats::merge`] is commutative.
-/// This is the default path used by [`CompiledLayer::check_fidelity`] and
-/// [`RaellaEngine`].
-///
-/// # Panics
-///
-/// Panics if `inputs.len()` is not a multiple of the layer's `filter_len`.
-pub fn run_batch_parallel(
-    layer: &CompiledLayer,
-    inputs: &[Act],
-    stats: &mut RunStats,
-    noise_seed: u64,
-) -> Vec<u8> {
-    run_batch_parallel_at(layer, inputs, stats, noise_seed, 0)
-}
-
-/// [`run_batch_parallel`] with the batch's first global vector index.
-pub fn run_batch_parallel_at(
-    layer: &CompiledLayer,
-    inputs: &[Act],
-    stats: &mut RunStats,
-    noise_seed: u64,
-    first_vector: u64,
-) -> Vec<u8> {
-    run_batch_parallel_at_age(layer, inputs, stats, noise_seed, first_vector, 0)
-}
-
-/// [`run_batch_parallel_at`] on a device aged `base_age` served vectors.
-/// Bit-identical to [`run_batch_at_age`] at any thread count: a vector's
-/// drift epoch depends only on `base_age + vector index`, never on which
-/// worker runs it.
-pub fn run_batch_parallel_at_age(
+/// Whole-layer batch execution over `threads` contiguous vector blocks
+/// (one block runs on the calling thread): each block runs every row
+/// group of its vectors and finalizes them into its region of the output.
+fn run_batch_blocks(
     layer: &CompiledLayer,
     inputs: &[Act],
     stats: &mut RunStats,
     noise_seed: u64,
     first_vector: u64,
     base_age: u64,
+    threads: usize,
 ) -> Vec<u8> {
     let n_vectors = batch_vectors(layer, inputs);
-    let threads = worker_count(n_vectors);
-    if threads <= 1 {
-        return run_batch_at_age(layer, inputs, stats, noise_seed, first_vector, base_age);
-    }
-    let filters = layer.filters();
-    let filter_len = layer.filter_len();
+    let (filters, filter_len) = (layer.filters(), layer.filter_len());
     let mut out = vec![0u8; n_vectors * filters];
     let locals = run_blocks(&mut out, n_vectors, filters, threads, |first, n, block| {
-        let mut scratch = VectorScratch::for_layer(layer);
-        let mut local = RunStats::default();
-        let in_block = &inputs[first * filter_len..(first + n) * filter_len];
-        for (k, (vec, out_chunk)) in in_block
-            .chunks_exact(filter_len)
-            .zip(block.chunks_exact_mut(filters))
-            .enumerate()
-        {
-            let index = first_vector + (first + k) as u64;
-            local.merge(&run_vector_at_age(
-                layer,
-                vec,
-                &mut scratch,
-                noise_seed,
-                index,
-                base_age,
-                out_chunk,
-            ));
-        }
-        local
+        run_vectors(
+            layer,
+            &inputs[first * filter_len..(first + n) * filter_len],
+            0..layer.group_count(),
+            noise_seed,
+            first_vector + first as u64,
+            base_age,
+            |i, input, acc| {
+                finalize_vector(
+                    layer,
+                    input,
+                    acc,
+                    &mut block[i * filters..(i + 1) * filters],
+                )
+            },
+        )
     });
     for local in &locals {
         stats.merge(local);
     }
     out
+}
+
+/// The per-vector loop every batch entry point shares: runs each vector
+/// `i` of `inputs` (global index `first_vector + i`) over the row groups
+/// in `groups` through one reused [`VectorScratch`], then hands `finish`
+/// the vector's position in the batch, its input and its accumulators.
+/// Returns the range statistics merged with every `finish` delta.
+fn run_vectors(
+    layer: &CompiledLayer,
+    inputs: &[Act],
+    groups: std::ops::Range<usize>,
+    noise_seed: u64,
+    first_vector: u64,
+    base_age: u64,
+    mut finish: impl FnMut(usize, &[Act], &[i64]) -> RunStats,
+) -> RunStats {
+    let mut scratch = VectorScratch::for_layer(layer);
+    let mut stats = RunStats::default();
+    for (i, input) in inputs.chunks_exact(layer.filter_len()).enumerate() {
+        scratch.acc.fill(0);
+        stats.merge(&run_vector_groups_at_age(
+            layer,
+            input,
+            groups.clone(),
+            &mut scratch,
+            noise_seed,
+            first_vector + i as u64,
+            base_age,
+        ));
+        stats.merge(&finish(i, input, &scratch.acc));
+    }
+    stats
 }
 
 /// Validates the batch shape and returns the vector count.
@@ -627,98 +588,34 @@ fn batch_vectors(layer: &CompiledLayer, inputs: &[Act]) -> usize {
     inputs.len() / layer.filter_len()
 }
 
-/// The pure per-vector kernel: runs one input vector through the layer's
-/// crossbar schedule, writing `layer.filters()` outputs into `out` and
-/// returning this vector's statistics delta.
+/// The row-range kernel behind every batch entry point and tile-sharded
+/// execution: accumulates the partial sums of the crossbar row groups in
+/// `groups` for one input vector into `scratch.acc` (`+=` per filter — the
+/// caller zeroes the accumulators) and returns the range's statistics
+/// delta (crossbar cycles, DAC pulses, ADC converts, speculation outcomes,
+/// device charge — everything attributable to these row groups).
 ///
-/// All working memory lives in `scratch` (reused across calls); the only
-/// other state read is the compiled layer and the `(noise_seed,
-/// vector_index)`-derived noise substreams, so calls are independent and
-/// may run on any thread in any order. Implemented as
-/// [`run_vector_groups`] over the full group range followed by
-/// [`finalize_vector`] — the sharded row-range path is the same code.
+/// All working memory lives in `scratch` (reused across calls); nothing
+/// else is written, so calls are independent and may run on any thread in
+/// any order. Per-vector bookkeeping (requantization, the `vectors`/`macs`
+/// counters) lives in [`finalize_vector`], which runs once per vector
+/// after every range's accumulators are reduced.
 ///
-/// # Panics
-///
-/// Panics if `input.len() != layer.filter_len()` or
-/// `out.len() != layer.filters()`.
-pub fn run_vector(
-    layer: &CompiledLayer,
-    input: &[Act],
-    scratch: &mut VectorScratch,
-    noise_seed: u64,
-    vector_index: u64,
-    out: &mut [u8],
-) -> RunStats {
-    run_vector_at_age(layer, input, scratch, noise_seed, vector_index, 0, out)
-}
-
-/// [`run_vector`] on a device aged `base_age` served vectors since its
-/// last programming: the vector runs at device age
-/// `base_age + vector_index`. Age 0 is bit-identical to [`run_vector`].
-pub fn run_vector_at_age(
-    layer: &CompiledLayer,
-    input: &[Act],
-    scratch: &mut VectorScratch,
-    noise_seed: u64,
-    vector_index: u64,
-    base_age: u64,
-    out: &mut [u8],
-) -> RunStats {
-    scratch.resize_for(layer);
-    scratch.acc.fill(0);
-    let mut stats = run_vector_groups_at_age(
-        layer,
-        input,
-        0..layer.group_count(),
-        scratch,
-        noise_seed,
-        vector_index,
-        base_age,
-    );
-    let finalized = finalize_vector(layer, input, &scratch.acc, out);
-    stats.merge(&finalized);
-    stats
-}
-
-/// The row-range kernel behind [`run_vector`] and tile-sharded execution:
-/// accumulates the partial sums of the crossbar row groups in `groups`
-/// into `scratch.acc` (`+=` per filter — the caller zeroes the
-/// accumulators) and returns the range's statistics delta (crossbar
-/// cycles, DAC pulses, ADC converts, speculation outcomes, device charge
-/// — everything attributable to these row groups).
-///
-/// Per-vector bookkeeping (requantization, the `vectors`/`macs` counters)
-/// lives in [`finalize_vector`], which runs once per vector after every
-/// range's accumulators are reduced. Each row group draws noise from its
-/// own `(noise_seed, vector_index, group)` substream, so disjoint ranges
-/// may run on different threads (or simulated tiles) in any order and
-/// still reproduce the monolithic run bit for bit.
+/// The vector runs on a device aged `base_age + vector_index` served
+/// vectors: the drift epoch is `lifetime.drift_epoch(base_age +
+/// vector_index)`, the effective noise level compounds the static model
+/// with the epoch's relaxation sigma, and each row group draws noise from
+/// its own `(noise_seed, vector_index, group, epoch)` substream
+/// ([`NoiseRng::for_substream_aged`]). Epoch 0 — in particular any age
+/// under a non-drifting lifetime — is bit-identical to an un-aged device.
+/// Results stay a pure function of `(seed, vector index, group, age)`, so
+/// disjoint ranges may run on different threads (or simulated tiles) in
+/// any order and still reproduce the monolithic run bit for bit.
 ///
 /// # Panics
 ///
 /// Panics if `input.len() != layer.filter_len()` or `groups` exceeds
 /// [`CompiledLayer::group_count`].
-pub fn run_vector_groups(
-    layer: &CompiledLayer,
-    input: &[Act],
-    groups: std::ops::Range<usize>,
-    scratch: &mut VectorScratch,
-    noise_seed: u64,
-    vector_index: u64,
-) -> RunStats {
-    run_vector_groups_at_age(layer, input, groups, scratch, noise_seed, vector_index, 0)
-}
-
-/// [`run_vector_groups`] on a device aged `base_age` served vectors: the
-/// drift epoch is `lifetime.drift_epoch(base_age + vector_index)`, the
-/// effective noise level compounds the static model with the epoch's
-/// relaxation sigma, and every group substream is re-keyed by the epoch
-/// ([`NoiseRng::for_substream_aged`]). Epoch 0 — in particular any age
-/// under a non-drifting lifetime — is bit-identical to
-/// [`run_vector_groups`]. Results stay a pure function of
-/// `(seed, vector index, group, age)`, so sharding and threading remain
-/// pure scheduling at every age.
 #[allow(clippy::too_many_arguments)]
 pub fn run_vector_groups_at_age(
     layer: &CompiledLayer,
@@ -907,7 +804,8 @@ pub fn run_vector_groups_at_age(
 }
 
 /// The scalar kernel, retained as the bit-exactness oracle for
-/// [`run_vector_groups`].
+/// [`run_vector_groups_at_age`], applying the identical
+/// epoch/noise/stream derivation column by column.
 ///
 /// Slices each sign plane into dense speculative and bit planes of its
 /// own and processes one column (filter × weight slice) at a time,
@@ -915,27 +813,13 @@ pub fn run_vector_groups_at_age(
 /// re-reading every recovery bit, as the engine did before panel
 /// blocking. `crates/core/tests/panel_oracle.rs` pins the panel kernel
 /// against this function — outputs *and* full statistics, ideal and
-/// noisy, both input modes — so any panel miscount or reordered noise
-/// draw is caught against the original code path. Not used on the hot
-/// path.
+/// noisy, both input modes, at any age — so any panel miscount or
+/// reordered noise draw is caught against the original code path. Not
+/// used on the hot path.
 ///
 /// # Panics
 ///
-/// Panics under the same conditions as [`run_vector_groups`].
-pub fn run_vector_groups_reference(
-    layer: &CompiledLayer,
-    input: &[Act],
-    groups: std::ops::Range<usize>,
-    scratch: &mut VectorScratch,
-    noise_seed: u64,
-    vector_index: u64,
-) -> RunStats {
-    run_vector_groups_reference_at_age(layer, input, groups, scratch, noise_seed, vector_index, 0)
-}
-
-/// [`run_vector_groups_reference`] at device age `base_age + vector_index`
-/// — the scalar oracle for [`run_vector_groups_at_age`], applying the
-/// identical epoch/noise/stream derivation column by column.
+/// Panics under the same conditions as [`run_vector_groups_at_age`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_vector_groups_reference_at_age(
     layer: &CompiledLayer,
@@ -1155,7 +1039,7 @@ pub fn finalize_vector(
 
 /// The definitional event counter behind [`count_crossbar_events`],
 /// rescanning the dense planes per group; used only by
-/// [`run_vector_groups_reference`].
+/// [`run_vector_groups_reference_at_age`].
 fn count_crossbar_events_scanning(
     cfg: &RaellaConfig,
     dense: &DensePlanes,
@@ -1250,10 +1134,11 @@ fn run_column_bitserial(
 /// caching layers on first use. Drop-in replacement for the integer
 /// reference engine in graph execution — the accuracy experiments' engine.
 ///
-/// Batches execute through [`run_batch_parallel`]. Results are
-/// deterministic for a given construction seed and call sequence: the
-/// engine assigns every processed vector a global index, and each vector's
-/// noise stream is derived from `(seed, index)` alone.
+/// Batches execute through [`run_batch_parallel_at_age`] on an un-aged
+/// device (age 0). Results are deterministic for a given construction
+/// seed and call sequence: the engine assigns every processed vector a
+/// global index, and each vector's noise stream is derived from
+/// `(seed, index)` alone.
 #[derive(Debug)]
 pub struct RaellaEngine {
     cfg: RaellaConfig,
@@ -1335,12 +1220,13 @@ impl MatVecEngine for RaellaEngine {
             .cache
             .get_or_compile(layer, &self.cfg)
             .expect("engine configuration was validated at construction");
-        let out = run_batch_parallel_at(
+        let out = run_batch_parallel_at_age(
             &compiled,
             inputs,
             &mut self.stats,
             self.noise_seed,
             self.next_vector,
+            0,
         );
         self.next_vector += (inputs.len() / layer.filter_len()) as u64;
         out
@@ -1373,7 +1259,7 @@ mod tests {
             CompiledLayer::with_slicing(&layer, Slicing::raella_default_weights(), &cfg).unwrap();
         let inputs = layer.sample_inputs(6, 3);
         let mut stats = RunStats::default();
-        let analog = run_batch(&compiled, &inputs, &mut stats, 0);
+        let analog = run_batch_at_age(&compiled, &inputs, &mut stats, 0, 0, 0);
         assert_eq!(analog, layer.reference_outputs(&inputs));
     }
 
@@ -1391,8 +1277,8 @@ mod tests {
         let mut s1 = RunStats::default();
         let mut s2 = RunStats::default();
         assert_eq!(
-            run_batch(&spec, &inputs, &mut s1, 0),
-            run_batch(&bs, &inputs, &mut s2, 0)
+            run_batch_at_age(&spec, &inputs, &mut s1, 0, 0, 0),
+            run_batch_at_age(&bs, &inputs, &mut s2, 0, 0, 0)
         );
     }
 
@@ -1410,8 +1296,8 @@ mod tests {
         let inputs = layer.sample_inputs(4, 5);
         let mut s_spec = RunStats::default();
         let mut s_bs = RunStats::default();
-        run_batch(&spec, &inputs, &mut s_spec, 0);
-        run_batch(&bs, &inputs, &mut s_bs, 0);
+        run_batch_at_age(&spec, &inputs, &mut s_spec, 0, 0, 0);
+        run_batch_at_age(&bs, &inputs, &mut s_bs, 0, 0, 0);
         // Paper §4.3.2: speculation cuts ADC converts by ~60% vs
         // recovery-only; synthetic distributions land in the same regime.
         assert!(
@@ -1435,7 +1321,7 @@ mod tests {
         let compiled = CompiledLayer::with_slicing(&layer, Slicing::uniform(1, 8), &cfg).unwrap();
         let inputs = layer.sample_inputs(3, 7);
         let mut stats = RunStats::default();
-        run_batch(&compiled, &inputs, &mut stats, 0);
+        run_batch_at_age(&compiled, &inputs, &mut stats, 0, 0, 0);
         assert!(stats.spec_failures > 0, "tiny ADC must fail speculation");
         assert!(stats.recovery_converts > 0);
     }
@@ -1451,8 +1337,8 @@ mod tests {
             CompiledLayer::with_slicing(&signed, Slicing::raella_default_weights(), &cfg).unwrap();
         let mut su = RunStats::default();
         let mut ss = RunStats::default();
-        run_batch(&cu, &unsigned.sample_inputs(2, 1), &mut su, 0);
-        run_batch(&cs, &signed.sample_inputs(2, 1), &mut ss, 0);
+        run_batch_at_age(&cu, &unsigned.sample_inputs(2, 1), &mut su, 0, 0, 0);
+        run_batch_at_age(&cs, &signed.sample_inputs(2, 1), &mut ss, 0, 0, 0);
         assert_eq!(ss.events.cycles, 2 * su.events.cycles);
     }
 
@@ -1465,7 +1351,7 @@ mod tests {
             CompiledLayer::with_slicing(&layer, Slicing::raella_default_weights(), &cfg).unwrap();
         let inputs = layer.sample_inputs(5, 2);
         let mut stats = RunStats::default();
-        let analog = run_batch(&compiled, &inputs, &mut stats, 0);
+        let analog = run_batch_at_age(&compiled, &inputs, &mut stats, 0, 0, 0);
         assert_eq!(analog, layer.reference_outputs(&inputs));
     }
 
@@ -1477,7 +1363,7 @@ mod tests {
         let inputs = layer.sample_inputs(3, 3);
         let reference = layer.reference_outputs(&inputs);
         let mut stats = RunStats::default();
-        let noisy = run_batch(&compiled, &inputs, &mut stats, 5);
+        let noisy = run_batch_at_age(&compiled, &inputs, &mut stats, 5, 0, 0);
         assert_ne!(noisy, reference, "8% noise should perturb something");
         let max_err = reference
             .iter()
@@ -1498,8 +1384,8 @@ mod tests {
         let inputs = layer.sample_inputs(12, 21);
         let mut s_serial = RunStats::default();
         let mut s_par = RunStats::default();
-        let serial = run_batch(&compiled, &inputs, &mut s_serial, 3);
-        let parallel = run_batch_parallel(&compiled, &inputs, &mut s_par, 3);
+        let serial = run_batch_at_age(&compiled, &inputs, &mut s_serial, 3, 0, 0);
+        let parallel = run_batch_parallel_at_age(&compiled, &inputs, &mut s_par, 3, 0, 0);
         assert_eq!(serial, parallel);
         assert_eq!(s_serial, s_par);
     }
@@ -1514,14 +1400,21 @@ mod tests {
         let inputs = layer.sample_inputs(4, 2);
         let mut s0 = RunStats::default();
         let mut s1 = RunStats::default();
-        let at0 = run_batch_at(&compiled, &inputs, &mut s0, 7, 0);
-        let at4 = run_batch_at(&compiled, &inputs, &mut s1, 7, 4);
+        let at0 = run_batch_at_age(&compiled, &inputs, &mut s0, 7, 0, 0);
+        let at4 = run_batch_at_age(&compiled, &inputs, &mut s1, 7, 4, 0);
         assert_ne!(at0, at4, "different stream offsets must differ under noise");
         // And the split [0..2)+[2..4) equals the whole [0..4).
         let mut sa = RunStats::default();
         let half = inputs.len() / 2;
-        let mut first = run_batch_at(&compiled, &inputs[..half], &mut sa, 7, 0);
-        first.extend(run_batch_at(&compiled, &inputs[half..], &mut sa, 7, 2));
+        let mut first = run_batch_at_age(&compiled, &inputs[..half], &mut sa, 7, 0, 0);
+        first.extend(run_batch_at_age(
+            &compiled,
+            &inputs[half..],
+            &mut sa,
+            7,
+            2,
+            0,
+        ));
         assert_eq!(first, at0);
         assert_eq!(sa, s0);
     }
@@ -1585,21 +1478,23 @@ mod tests {
                     for (v, input) in inputs.chunks(compiled.filter_len()).enumerate() {
                         let mut panel_scratch = VectorScratch::for_layer(&compiled);
                         let mut ref_scratch = VectorScratch::for_layer(&compiled);
-                        let ps = run_vector_groups(
+                        let ps = run_vector_groups_at_age(
                             &compiled,
                             input,
                             range.clone(),
                             &mut panel_scratch,
                             9,
                             v as u64,
+                            0,
                         );
-                        let rs = run_vector_groups_reference(
+                        let rs = run_vector_groups_reference_at_age(
                             &compiled,
                             input,
                             range.clone(),
                             &mut ref_scratch,
                             9,
                             v as u64,
+                            0,
                         );
                         assert_eq!(
                             panel_scratch.acc, ref_scratch.acc,
@@ -1641,7 +1536,7 @@ mod tests {
         // static model, stats included.
         let mut s_static = RunStats::default();
         let mut s_fresh = RunStats::default();
-        let out_static = run_batch(&stat, &inputs, &mut s_static, 9);
+        let out_static = run_batch_at_age(&stat, &inputs, &mut s_static, 9, 0, 0);
         let out_fresh = run_batch_at_age(&aged, &inputs, &mut s_fresh, 9, 0, 0);
         assert_eq!(
             out_static, out_fresh,
@@ -1717,6 +1612,6 @@ mod tests {
         }
         let input = vec![1 as Act; 100];
         let mut scratch = VectorScratch::for_layer(&compiled);
-        let _ = run_vector_groups(&compiled, &input, 0..2, &mut scratch, 0, 0);
+        let _ = run_vector_groups_at_age(&compiled, &input, 0..2, &mut scratch, 0, 0, 0);
     }
 }

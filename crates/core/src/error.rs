@@ -25,8 +25,8 @@ pub enum CoreError {
     /// worker disappeared before responding.
     Server(String),
     /// A depth-bounded server queue rejected an admission attempt:
-    /// `try_submit` found no space, `submit_timeout` expired, or an
-    /// all-or-nothing `submit_many` could not reserve every slot. The
+    /// a fail-fast `submit` found no space, a deadline `submit` expired,
+    /// or an all-or-nothing `submit_many` could not reserve every slot. The
     /// request was **not** enqueued — no handle exists for it.
     QueueFull {
         /// Model the rejected request(s) targeted.

@@ -53,7 +53,7 @@
 //! ```
 //!
 //! Admission over the socket is fail-fast
-//! ([`crate::server::RaellaServer::try_submit_to`]): a bounded queue
+//! ([`crate::server::Admission::Fail`]): a bounded queue
 //! answers `QueueFull` as a status-1 frame instead of stalling the IO
 //! thread — backpressure travels over the wire. Frame-cap violations
 //! are answered, not ghosted: an inbound length prefix beyond
@@ -82,7 +82,7 @@ use std::time::Duration;
 use raella_energy::EnergyBreakdown;
 use raella_nn::tensor::Tensor;
 
-use crate::server::{RaellaServer, RequestHandle, Response};
+use crate::server::{Admission, RaellaServer, RequestHandle, Response};
 
 /// Largest accepted frame payload (16 MiB) — a length prefix beyond this
 /// is a protocol violation: the gateway answers a status-1 error frame
@@ -892,7 +892,7 @@ fn pump_reads(
                 let payload = &conn.rbuf[consumed + payload.start..consumed + payload.end];
                 match parse_request(payload) {
                     Ok((tag, model, image)) => {
-                        match server.try_submit_to(model as usize, image) {
+                        match server.submit(model as usize, image, Admission::Fail) {
                             Ok(handle) => {
                                 let slot = conn.next_slot;
                                 conn.next_slot += 1;

@@ -59,7 +59,7 @@
 //! * [`scratch`] — reusable per-vector working memory: the engine's hot
 //!   loop allocates nothing per vector.
 //! * [`parallel`] — the deterministic batch fan-out behind
-//!   [`engine::run_batch_parallel`]: contiguous blocks, per-vector noise
+//!   [`engine::run_batch_parallel_at_age`]: contiguous blocks, per-vector noise
 //!   streams, bit-identical results at any thread count.
 //!
 //! ```
@@ -115,6 +115,7 @@ pub use raella_energy::{ComponentPrices, EnergyBreakdown};
 pub use raella_xbar::lifetime::DeviceLifetime;
 pub use scratch::VectorScratch;
 pub use server::{
-    energy_config_ladder, RaellaServer, RequestHandle, Response, ServerBuilder, ServerMetrics,
+    energy_config_ladder, Admission, RaellaServer, RequestHandle, Response, ServerBuilder,
+    ServerMetrics,
 };
 pub use shard::{ShardBatchResult, ShardPlan, ShardedModel};

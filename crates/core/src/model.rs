@@ -7,8 +7,8 @@
 //! and then images stream through [`CompiledModel::run_batch`], which fans
 //! whole images across `std::thread::scope` workers. Per-vector work runs
 //! the cache-blocked panel kernel
-//! ([`run_vector_groups`](crate::engine::run_vector_groups)), so
-//! single-image latency tracks the CI-gated single-thread engine rate
+//! ([`run_vector_groups_at_age`](crate::engine::run_vector_groups_at_age)),
+//! so single-image latency tracks the CI-gated single-thread engine rate
 //! rather than depending on worker count.
 //!
 //! # Determinism contract
@@ -37,9 +37,10 @@ use raella_nn::tensor::Tensor;
 
 use crate::compiler::{CompiledLayer, SharedCompileCache};
 use crate::config::RaellaConfig;
-use crate::engine::{noise_seed_for, run_batch_at_age, run_batch_parallel_at_age, RunStats};
+use crate::engine::{noise_seed_for, RunStats};
 use crate::error::CoreError;
-use crate::parallel::{run_chunks, worker_count_for};
+use crate::parallel::worker_count_for;
+use crate::shard::{run_batch_placed, run_image_placed};
 
 /// Outputs and merged statistics of one [`CompiledModel::run_batch`] call.
 #[derive(Debug, Clone, PartialEq)]
@@ -302,27 +303,11 @@ impl CompiledModel {
         images: &[Tensor<u8>],
         threads: usize,
     ) -> Result<BatchResult, CoreError> {
-        // Clamp to the real worker count first (run_chunks caps at one
-        // worker per image): with no image-level fan-out the vector-level
-        // fan-out inside each layer takes over. Both paths produce
-        // identical bytes, so this is purely a scheduling choice.
-        let threads = threads.clamp(1, images.len().max(1));
-        let inner_parallel = threads <= 1;
-        let blocks = run_chunks(images.len(), threads, |first, n| {
-            let mut arena = ValueArena::new();
-            images[first..first + n]
-                .iter()
-                .map(|img| self.run_image_in(img, &mut arena, inner_parallel))
-                .collect::<Vec<_>>()
-        });
-        let mut outputs = Vec::with_capacity(images.len());
-        let mut stats = RunStats::default();
-        for result in blocks.into_iter().flatten() {
-            let (out, local) = result?;
-            stats.merge(&local);
-            outputs.push(out);
-        }
-        Ok(BatchResult { outputs, stats })
+        let (outputs, tiles) = run_batch_placed(self, None, images, threads)?;
+        Ok(BatchResult {
+            outputs,
+            stats: tiles[0],
+        })
     }
 
     /// Top-1 predictions for a batch of images — a thin argmax over
@@ -361,6 +346,8 @@ impl CompiledModel {
     /// [`CompiledModel::run_image_in`] on a device aged `age` served
     /// vectors — the serving hot path at any point in the device's
     /// lifetime. Age 0 is bit-identical to [`CompiledModel::run_image_in`].
+    /// The model runs as a one-tile placement through the same per-image
+    /// walk as [`crate::shard::ShardPlan::run_image_in_at_age`].
     ///
     /// # Errors
     ///
@@ -372,51 +359,8 @@ impl CompiledModel {
         parallel_vectors: bool,
         age: u64,
     ) -> Result<(Tensor<u8>, RunStats), CoreError> {
-        let mut engine = PlannedEngine {
-            layers: &self.layers,
-            cursor: 0,
-            stats: RunStats::default(),
-            layer_stats: None,
-            next_vector: 0,
-            noise_seed: self.noise_seed,
-            parallel_vectors,
-            base_age: age,
-        };
-        let out = self
-            .graph
-            .run_planned(&self.plan, image, &mut engine, arena)?;
-        Ok((out, engine.stats))
-    }
-
-    /// [`CompiledModel::run_image_in_at_age`] that additionally attributes
-    /// statistics to each matrix-layer node (execution order). The merged
-    /// totals are bit-identical to the unattributed run — per-node
-    /// counters are accumulated locally and merged in, and
-    /// [`RunStats::merge`] is exact — so this is the energy profiler's
-    /// execution path, not a second semantics.
-    pub(crate) fn run_image_layers_at_age(
-        &self,
-        image: &Tensor<u8>,
-        arena: &mut ValueArena,
-        parallel_vectors: bool,
-        age: u64,
-    ) -> Result<(Tensor<u8>, RunStats, Vec<RunStats>), CoreError> {
-        let mut per_layer = vec![RunStats::default(); self.layers.len()];
-        let mut engine = PlannedEngine {
-            layers: &self.layers,
-            cursor: 0,
-            stats: RunStats::default(),
-            layer_stats: Some(&mut per_layer),
-            next_vector: 0,
-            noise_seed: self.noise_seed,
-            parallel_vectors,
-            base_age: age,
-        };
-        let out = self
-            .graph
-            .run_planned(&self.plan, image, &mut engine, arena)?;
-        let stats = engine.stats;
-        Ok((out, stats, per_layer))
+        let (out, tiles) = run_image_placed(self, None, image, arena, parallel_vectors, age, None)?;
+        Ok((out, tiles[0]))
     }
 
     /// Input vectors one `image` pushes through the model's matrix layers
@@ -607,62 +551,6 @@ impl CompiledModel {
             unique_layers: self.unique_layers,
             cfg,
         })
-    }
-}
-
-/// Per-image engine adapter: serves the graph's matrix-layer calls from
-/// the precompiled list. Calls arrive in execution order — the same order
-/// [`Graph::matrix_layers`] reports (property-tested in
-/// `crates/nn/tests/graph_proptests.rs`) — so a cursor suffices.
-struct PlannedEngine<'m> {
-    layers: &'m [Arc<CompiledLayer>],
-    cursor: usize,
-    stats: RunStats,
-    /// When profiling, per-node statistics indexed like `layers` —
-    /// accumulated locally per call and merged into `stats`, so totals
-    /// stay bit-identical to the unattributed path ([`RunStats::merge`]
-    /// is exact integer arithmetic).
-    layer_stats: Option<&'m mut Vec<RunStats>>,
-    next_vector: u64,
-    noise_seed: u64,
-    parallel_vectors: bool,
-    /// Device age (served vectors since last programming) at which this
-    /// image starts; vector `i` of the image runs at `base_age + i`.
-    base_age: u64,
-}
-
-impl MatVecEngine for PlannedEngine<'_> {
-    fn layer_outputs(&mut self, layer: &MatrixLayer, inputs: &[Act]) -> Vec<u8> {
-        let node = self.cursor;
-        let compiled = &self.layers[node];
-        self.cursor += 1;
-        debug_assert_eq!(compiled.name(), layer.name(), "layer order drifted");
-        let mut local = RunStats::default();
-        let out = if self.parallel_vectors {
-            run_batch_parallel_at_age(
-                compiled,
-                inputs,
-                &mut local,
-                self.noise_seed,
-                self.next_vector,
-                self.base_age,
-            )
-        } else {
-            run_batch_at_age(
-                compiled,
-                inputs,
-                &mut local,
-                self.noise_seed,
-                self.next_vector,
-                self.base_age,
-            )
-        };
-        self.stats.merge(&local);
-        if let Some(per_layer) = self.layer_stats.as_deref_mut() {
-            per_layer[node].merge(&local);
-        }
-        self.next_vector += (inputs.len() / layer.filter_len()) as u64;
-        out
     }
 }
 

@@ -1,12 +1,14 @@
 //! Reusable per-vector working memory for the execution engine.
 //!
-//! The engine's per-vector kernel ([`crate::engine::run_vector`]) is pure:
-//! it reads a compiled layer and one input vector, and writes outputs plus
-//! a local [`crate::engine::RunStats`] delta. All intermediate state — the
-//! sign plane, its compacted nonzero rows, and the panel-shaped window
-//! accumulators — lives in a [`VectorScratch`] that the caller allocates
-//! once and reuses across vectors, so the hot loop performs no heap
-//! allocation. Each worker thread owns one scratch.
+//! The engine's per-vector kernel
+//! ([`crate::engine::run_vector_groups_at_age`]) is pure: it reads a
+//! compiled layer and one input vector, and writes the vector's
+//! accumulators plus a local [`crate::engine::RunStats`] delta. All
+//! intermediate state — the sign plane, its compacted nonzero rows, the
+//! per-row-group noise streams and the panel-shaped window accumulators —
+//! lives in a [`VectorScratch`] that the caller allocates once and reuses
+//! across vectors, so the hot loop performs no heap allocation. Each
+//! worker thread owns one scratch.
 
 use raella_nn::matrix::Act;
 use raella_xbar::noise::NoiseRng;
@@ -126,7 +128,7 @@ impl VectorScratch {
     }
 
     /// The per-filter `i64` accumulators as last written by
-    /// `run_vector_groups` (or its scalar reference twin) — exposed so
+    /// `run_vector_groups_at_age` (or its scalar reference twin) — exposed so
     /// external oracles can compare kernels without going through
     /// requantization.
     pub fn accumulators(&self) -> &[i64] {

@@ -41,15 +41,14 @@
 //! The queue is optionally depth-bounded, server-wide
 //! ([`ServerBuilder::queue_depth`]) and per model
 //! ([`ServerBuilder::model_queue_depth`]); both default to unbounded.
-//! Admission then has three modes, all drain-safe under
-//! [`RaellaServer::shutdown`]:
+//! [`RaellaServer::submit`] then takes one of three [`Admission`] modes,
+//! all drain-safe under [`RaellaServer::shutdown`]:
 //!
-//! * [`RaellaServer::submit`] **blocks** until a slot frees (it errors
+//! * [`Admission::Block`] **blocks** until a slot frees (it errors
 //!   instead of enqueueing if shutdown begins while it waits);
-//! * [`RaellaServer::try_submit`] **fails fast** with
-//!   [`CoreError::QueueFull`];
-//! * [`RaellaServer::submit_timeout`] blocks up to a deadline, then fails
-//!   with [`CoreError::QueueFull`].
+//! * [`Admission::Fail`] **fails fast** with [`CoreError::QueueFull`];
+//! * [`Admission::Deadline`] blocks up to a deadline, then fails with
+//!   [`CoreError::QueueFull`].
 //!
 //! A rejected submission is never enqueued — there is no handle to leak
 //! and nothing for shutdown to drain. [`RaellaServer::submit_many`] is
@@ -176,7 +175,7 @@ pub const WAIT_ALL_TIMEOUT: Duration = Duration::from_secs(300);
 /// policy, queue bounds, and the compile cache to dedupe through.
 ///
 /// ```
-/// use raella_core::server::RaellaServer;
+/// use raella_core::server::{Admission, RaellaServer};
 /// use raella_core::RaellaConfig;
 /// use raella_nn::graph::Graph;
 /// use raella_nn::synth::SynthLayer;
@@ -197,7 +196,9 @@ pub const WAIT_ALL_TIMEOUT: Duration = Duration::from_secs(300);
 ///     .latency_budget_ticks(100)
 ///     .queue_depth(64)
 ///     .build()?;
-/// let response = server.submit(Tensor::zeros(&[2, 6, 6]))?.wait()?;
+/// let response = server
+///     .submit(0, Tensor::zeros(&[2, 6, 6]), Admission::Block)?
+///     .wait()?;
 /// assert_eq!(response.output().shape(), &[4]);
 /// server.shutdown();
 /// # Ok(())
@@ -228,9 +229,8 @@ impl ServerBuilder {
         ServerBuilder::default()
     }
 
-    /// Adds a model to serve. The first added model is the default target
-    /// of [`RaellaServer::submit`]; later ones are addressed by index via
-    /// [`RaellaServer::submit_to`] (in the order they were added).
+    /// Adds a model to serve. [`RaellaServer::submit`] addresses models
+    /// by index in the order they were added (0 is the first).
     #[must_use]
     pub fn model(mut self, graph: &Graph, cfg: &RaellaConfig) -> Self {
         self.models.push((graph.clone(), cfg.clone()));
@@ -270,11 +270,11 @@ impl ServerBuilder {
     /// Bounds the number of requests queued server-wide (all models
     /// together, excluding requests already executing). `0` — the
     /// default — is unbounded. With a bound in place,
-    /// [`RaellaServer::submit`] blocks for space,
-    /// [`RaellaServer::try_submit`] fails fast, and
-    /// [`RaellaServer::submit_timeout`] waits up to a deadline (see the
-    /// [module docs](crate::server)). Bounding is pure admission control:
-    /// accepted requests produce bit-identical results at any bound.
+    /// [`RaellaServer::submit`] blocks for space ([`Admission::Block`]),
+    /// fails fast ([`Admission::Fail`]), or waits up to a deadline
+    /// ([`Admission::Deadline`]); see the [module docs](crate::server).
+    /// Bounding is pure admission control: accepted requests produce
+    /// bit-identical results at any bound.
     ///
     /// Blocked admissions are FIFO: each blocking submitter takes a
     /// server-wide ticket, and freed slots are granted strictly in
@@ -1928,8 +1928,9 @@ fn apply_action(
     Ok(true)
 }
 
-/// How an admission call waits for queue space.
-enum Admission {
+/// How [`RaellaServer::submit`] waits for queue space at a bound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Admission {
     /// Block until space frees or shutdown begins.
     Block,
     /// Fail fast with [`CoreError::QueueFull`].
@@ -2112,7 +2113,7 @@ impl ServerMetrics {
 /// let cfg = RaellaConfig { search_vectors: 2, ..RaellaConfig::default() };
 ///
 /// let server = RaellaServer::builder().model(&g, &cfg).build()?;
-/// let handles = server.submit_many((0..3).map(|_| Tensor::zeros(&[2, 6, 6])))?;
+/// let handles = server.submit_many(0, (0..3).map(|_| Tensor::zeros(&[2, 6, 6])))?;
 /// let responses = RaellaServer::wait_all(handles)?;
 /// assert_eq!(responses.len(), 3);
 /// assert_eq!(responses[0].output(), responses[2].output());
@@ -2134,98 +2135,30 @@ impl RaellaServer {
         ServerBuilder::new()
     }
 
-    /// Submits one image to the default (first) model, blocking while the
-    /// queue is at a configured bound ([`ServerBuilder::queue_depth`] /
-    /// [`ServerBuilder::model_queue_depth`]; never blocks on an unbounded
-    /// server). Returns as soon as the request is queued; block on the
-    /// handle for the response.
+    /// Submits one image to the model at `model` (builder insertion
+    /// order; 0 is the first) and returns as soon as the request is
+    /// queued; block on the handle for the response.
+    ///
+    /// `admission` says how the call waits while the queue is at a
+    /// configured bound ([`ServerBuilder::queue_depth`] /
+    /// [`ServerBuilder::model_queue_depth`]; an unbounded server never
+    /// waits): [`Admission::Block`] until a slot frees,
+    /// [`Admission::Fail`] not at all, or [`Admission::Deadline`] until
+    /// the deadline. Shutdown always wins over newly freed space, so a
+    /// request is never accepted into a draining server.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Server`] if the server shuts down while the
-    /// call is waiting for space — the request was *not* enqueued.
-    pub fn submit(&self, image: Tensor<u8>) -> Result<RequestHandle, CoreError> {
-        self.admit(0, image, Admission::Block)
-    }
-
-    /// [`RaellaServer::submit`] addressed to the model at `model`
-    /// (builder insertion order).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Server`] for an out-of-range model index or a
-    /// shutdown while waiting.
-    pub fn submit_to(&self, model: usize, image: Tensor<u8>) -> Result<RequestHandle, CoreError> {
-        self.admit(model, image, Admission::Block)
-    }
-
-    /// Submits one image to the default model, failing fast instead of
-    /// blocking when the queue is at a bound.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::QueueFull`] when no slot is free (the request
-    /// was not enqueued and holds no sequence number), or
-    /// [`CoreError::Server`] on shutdown.
-    pub fn try_submit(&self, image: Tensor<u8>) -> Result<RequestHandle, CoreError> {
-        self.admit(0, image, Admission::Fail)
-    }
-
-    /// [`RaellaServer::try_submit`] addressed to the model at `model`.
-    ///
-    /// # Errors
-    ///
-    /// As [`RaellaServer::try_submit`], plus [`CoreError::Server`] for an
-    /// out-of-range model index.
-    pub fn try_submit_to(
+    /// Returns [`CoreError::QueueFull`] when [`Admission::Fail`] finds no
+    /// free slot or an [`Admission::Deadline`] passes first, and
+    /// [`CoreError::Server`] for an out-of-range model index or a
+    /// shutdown. In every error case the request was not enqueued and
+    /// holds no sequence number.
+    pub fn submit(
         &self,
         model: usize,
         image: Tensor<u8>,
-    ) -> Result<RequestHandle, CoreError> {
-        self.admit(model, image, Admission::Fail)
-    }
-
-    /// Submits one image to the default model, blocking at a queue bound
-    /// for at most `timeout` before giving up.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::QueueFull`] if no slot freed within
-    /// `timeout`, or [`CoreError::Server`] if the server shut down while
-    /// the call was waiting. Either way the request was not enqueued.
-    pub fn submit_timeout(
-        &self,
-        image: Tensor<u8>,
-        timeout: Duration,
-    ) -> Result<RequestHandle, CoreError> {
-        self.admit(0, image, Admission::Deadline(Instant::now() + timeout))
-    }
-
-    /// [`RaellaServer::submit_timeout`] addressed to the model at
-    /// `model`.
-    ///
-    /// # Errors
-    ///
-    /// As [`RaellaServer::submit_timeout`], plus [`CoreError::Server`]
-    /// for an out-of-range model index.
-    pub fn submit_timeout_to(
-        &self,
-        model: usize,
-        image: Tensor<u8>,
-        timeout: Duration,
-    ) -> Result<RequestHandle, CoreError> {
-        self.admit(model, image, Admission::Deadline(Instant::now() + timeout))
-    }
-
-    /// The shared admission path: validate the model index, then wait for
-    /// (or demand) queue space per `mode` and enqueue. Shutdown always
-    /// wins over newly freed space, so a request is never accepted into a
-    /// draining server.
-    fn admit(
-        &self,
-        model: usize,
-        image: Tensor<u8>,
-        mode: Admission,
+        admission: Admission,
     ) -> Result<RequestHandle, CoreError> {
         if model >= self.shared.models.len() {
             return Err(CoreError::Server(format!(
@@ -2251,7 +2184,7 @@ impl RaellaServer {
             self.shared.ready.notify_one();
             return Ok(handle);
         }
-        let deadline = match mode {
+        let deadline = match admission {
             Admission::Fail => {
                 self.shared.rejected.fetch_add(1, Ordering::SeqCst);
                 return Err(CoreError::QueueFull {
@@ -2321,8 +2254,8 @@ impl RaellaServer {
         }
     }
 
-    /// Submits a stream of images to the default model **all-or-nothing**
-    /// with [`RaellaServer::try_submit`] semantics: every slot is
+    /// Submits a stream of images to the model at `model`
+    /// **all-or-nothing** with [`Admission::Fail`] semantics: every slot is
     /// reserved under one lock acquisition and the images enqueue as one
     /// contiguous run of the model's lane — so the handles come back in
     /// submission order with consecutive sequence numbers, and no
@@ -2333,21 +2266,9 @@ impl RaellaServer {
     /// Returns [`CoreError::QueueFull`] if the stream does not fit under
     /// the queue bounds in its entirety — in that case *nothing* was
     /// enqueued (counted as one rejection in [`ServerMetrics::rejected`])
-    /// — or [`CoreError::Server`] on shutdown.
+    /// — or [`CoreError::Server`] for an out-of-range model index or a
+    /// shutdown.
     pub fn submit_many(
-        &self,
-        images: impl IntoIterator<Item = Tensor<u8>>,
-    ) -> Result<Vec<RequestHandle>, CoreError> {
-        self.submit_many_to(0, images)
-    }
-
-    /// [`RaellaServer::submit_many`] addressed to the model at `model`.
-    ///
-    /// # Errors
-    ///
-    /// As [`RaellaServer::submit_many`], plus [`CoreError::Server`] for
-    /// an out-of-range model index.
-    pub fn submit_many_to(
         &self,
         model: usize,
         images: impl IntoIterator<Item = Tensor<u8>>,
@@ -2820,7 +2741,7 @@ mod tests {
         let server = build_tiny(2, 2, 100);
         let images: Vec<Tensor<u8>> = (0..5).map(sample_image).collect();
         let expected = server.model(0).run_batch(&images).unwrap();
-        let handles = server.submit_many(images).unwrap();
+        let handles = server.submit_many(0, images).unwrap();
         let responses = RaellaServer::wait_all(handles).unwrap();
         for (i, (resp, want)) in responses.iter().zip(expected.outputs()).enumerate() {
             assert_eq!(resp.output(), want, "request {i}");
@@ -2847,8 +2768,10 @@ mod tests {
     #[test]
     fn misshaped_image_fails_only_its_request() {
         let server = build_tiny(1, 4, 0);
-        let good = server.submit(sample_image(1)).unwrap();
-        let bad = server.submit(Tensor::zeros(&[7, 8, 8])).unwrap();
+        let good = server.submit(0, sample_image(1), Admission::Block).unwrap();
+        let bad = server
+            .submit(0, Tensor::zeros(&[7, 8, 8]), Admission::Block)
+            .unwrap();
         assert!(good.wait().is_ok());
         assert!(bad.wait().is_err());
         // Failed executions still count as served (a response was
@@ -2860,12 +2783,16 @@ mod tests {
     #[test]
     fn submit_to_unknown_model_errors() {
         let server = build_tiny(1, 1, 0);
-        assert!(server.submit_to(1, sample_image(0)).is_err());
-        assert!(server.try_submit_to(1, sample_image(0)).is_err());
+        assert!(server.submit(1, sample_image(0), Admission::Block).is_err());
+        assert!(server.submit(1, sample_image(0), Admission::Fail).is_err());
         assert!(server
-            .submit_timeout_to(1, sample_image(0), Duration::from_millis(1))
+            .submit(
+                1,
+                sample_image(0),
+                Admission::Deadline(Instant::now() + Duration::from_millis(1))
+            )
             .is_err());
-        assert!(server.submit_many_to(1, [sample_image(0)]).is_err());
+        assert!(server.submit_many(1, [sample_image(0)]).is_err());
         // Unknown-model errors are not queue rejections.
         assert_eq!(server.metrics().rejected(), 0);
         server.shutdown();
@@ -2876,7 +2803,7 @@ mod tests {
         // A long budget and large batch leave requests parked in the
         // queue; shutdown must still flush them.
         let server = build_tiny(1, 64, 5_000_000);
-        let handles = server.submit_many((0..3).map(sample_image)).unwrap();
+        let handles = server.submit_many(0, (0..3).map(sample_image)).unwrap();
         let (out0, _) = server.model(0).run_image(&sample_image(0)).unwrap();
         server.shutdown();
         let responses = RaellaServer::wait_all(handles).unwrap();
@@ -2888,8 +2815,10 @@ mod tests {
     fn try_submit_fails_fast_at_both_bounds_and_counts_rejections() {
         // Global bound.
         let server = build_parked(1, 0);
-        let held = server.try_submit(sample_image(0)).unwrap();
-        let err = server.try_submit(sample_image(1)).unwrap_err();
+        let held = server.submit(0, sample_image(0), Admission::Fail).unwrap();
+        let err = server
+            .submit(0, sample_image(1), Admission::Fail)
+            .unwrap_err();
         assert!(
             matches!(
                 err,
@@ -2910,8 +2839,10 @@ mod tests {
 
         // Per-model bound with a roomy global bound.
         let server = build_parked(8, 1);
-        let held = server.try_submit(sample_image(0)).unwrap();
-        let err = server.try_submit(sample_image(1)).unwrap_err();
+        let held = server.submit(0, sample_image(0), Admission::Fail).unwrap();
+        let err = server
+            .submit(0, sample_image(1), Admission::Fail)
+            .unwrap_err();
         assert!(matches!(err, CoreError::QueueFull { .. }), "{err}");
         assert_eq!(server.metrics().rejected(), 1);
         server.shutdown();
@@ -2921,10 +2852,14 @@ mod tests {
     #[test]
     fn submit_timeout_expires_while_worker_is_parked() {
         let server = build_parked(1, 0);
-        let held = server.try_submit(sample_image(0)).unwrap();
+        let held = server.submit(0, sample_image(0), Admission::Fail).unwrap();
         let t0 = Instant::now();
         let err = server
-            .submit_timeout(sample_image(1), Duration::from_millis(20))
+            .submit(
+                0,
+                sample_image(1),
+                Admission::Deadline(Instant::now() + Duration::from_millis(20)),
+            )
             .unwrap_err();
         assert!(matches!(err, CoreError::QueueFull { .. }), "{err}");
         assert!(
@@ -2942,9 +2877,9 @@ mod tests {
     #[test]
     fn blocked_submit_is_woken_and_rejected_by_shutdown() {
         let server = build_parked(1, 0);
-        let held = server.try_submit(sample_image(0)).unwrap();
+        let held = server.submit(0, sample_image(0), Admission::Fail).unwrap();
         std::thread::scope(|scope| {
-            let blocked = scope.spawn(|| server.submit(sample_image(1)));
+            let blocked = scope.spawn(|| server.submit(0, sample_image(1), Admission::Block));
             // Wait until the submitter is provably parked in admission,
             // then shut down underneath it.
             while server.metrics().blocked() < 1 {
@@ -2970,12 +2905,12 @@ mod tests {
     fn submit_many_is_all_or_nothing_under_bounds() {
         let server = build_parked(3, 0);
         let first = server
-            .submit_many((0..2).map(sample_image))
+            .submit_many(0, (0..2).map(sample_image))
             .expect("2 of 3 slots fit");
         assert_eq!(first.len(), 2);
         // 2 queued + 2 more > depth 3: the whole call must reject without
         // enqueueing anything.
-        let err = server.submit_many((2..4).map(sample_image)).unwrap_err();
+        let err = server.submit_many(0, (2..4).map(sample_image)).unwrap_err();
         assert!(matches!(err, CoreError::QueueFull { .. }), "{err}");
         let metrics = server.metrics();
         assert_eq!(metrics.queued(), &[2], "partial enqueue leaked");
@@ -2983,7 +2918,9 @@ mod tests {
         assert_eq!(metrics.rejected(), 1, "all-or-nothing counts one call");
         // The last free slot still admits a fitting stream, contiguously
         // numbered after the first.
-        let third = server.submit_many([sample_image(4)]).expect("1 slot left");
+        let third = server
+            .submit_many(0, [sample_image(4)])
+            .expect("1 slot left");
         assert_eq!(third[0].sequence(), 2);
         server.shutdown();
         for handle in first.into_iter().chain(third) {
@@ -2999,7 +2936,7 @@ mod tests {
             .collect();
         let (mut delivered, mut rejections) = (Vec::new(), 0u64);
         for i in 0..5 {
-            match server.try_submit(sample_image(i % 2)) {
+            match server.submit(0, sample_image(i % 2), Admission::Fail) {
                 Ok(handle) => delivered.push(((i % 2) as usize, handle)),
                 Err(CoreError::QueueFull { .. }) => rejections += 1,
                 Err(other) => panic!("unexpected admission error: {other}"),
@@ -3056,7 +2993,7 @@ mod tests {
         assert!(plan.split_layer_count() >= 1, "fc1 must row-split");
         let baseline = sharded.model(0).run_batch(&images).unwrap();
 
-        let handles = sharded.submit_many(images.iter().cloned()).unwrap();
+        let handles = sharded.submit_many(0, images.iter().cloned()).unwrap();
         let responses = RaellaServer::wait_all(handles).unwrap();
         let mut merged = RunStats::default();
         for (i, (resp, want)) in responses.iter().zip(baseline.outputs()).enumerate() {
@@ -3084,7 +3021,11 @@ mod tests {
         let plain = build_tiny(1, 1, 0);
         assert!(plain.shard_plan(0).is_none());
         assert!(plain.tile_stats(0).is_empty());
-        let resp = plain.submit(sample_image(1)).unwrap().wait().unwrap();
+        let resp = plain
+            .submit(0, sample_image(1), Admission::Block)
+            .unwrap()
+            .wait()
+            .unwrap();
         assert!(resp.tile_stats().is_empty());
         plain.shutdown();
         sharded.shutdown();
@@ -3105,7 +3046,7 @@ mod tests {
             .tile_spec(TileSpec::new(64, 64))
             .build()
             .unwrap();
-        let handles = server.submit_many(images.iter().cloned()).unwrap();
+        let handles = server.submit_many(0, images.iter().cloned()).unwrap();
         let responses = RaellaServer::wait_all(handles).unwrap();
         for (i, resp) in responses.iter().enumerate() {
             assert!(resp.energy().total_pj() > 0.0, "request {i}");
@@ -3165,7 +3106,11 @@ mod tests {
                 .build()
                 .unwrap();
             let image = sample_image(7);
-            let resp = server.submit(image.clone()).unwrap().wait().unwrap();
+            let resp = server
+                .submit(0, image.clone(), Admission::Block)
+                .unwrap()
+                .wait()
+                .unwrap();
             let sel = resp.selected_config();
             assert!(sel < ladder.len());
             if expect_base {
@@ -3181,7 +3126,11 @@ mod tests {
             assert_eq!(&offline.energy_breakdown(&stats), resp.energy());
             // Selection is admission-state only: a second identical
             // request picks the same config (memoized per epoch).
-            let again = server.submit(image.clone()).unwrap().wait().unwrap();
+            let again = server
+                .submit(0, image.clone(), Admission::Block)
+                .unwrap()
+                .wait()
+                .unwrap();
             assert_eq!(again.selected_config(), sel);
             assert_eq!(again.output(), resp.output());
             server.shutdown();
@@ -3227,7 +3176,11 @@ mod tests {
         assert_eq!(server.device_age(0), 0);
 
         let img = long_image(3);
-        let before = server.submit(img.clone()).unwrap().wait().unwrap();
+        let before = server
+            .submit(0, img.clone(), Admission::Block)
+            .unwrap()
+            .wait()
+            .unwrap();
         assert_eq!(before.generation(), 0);
         assert_eq!(before.age(), 0);
         // Admission aged the device by the image's vector count.
@@ -3243,7 +3196,11 @@ mod tests {
         // different, freshly programmed object.
         assert!(!Arc::ptr_eq(&gen0, &server.model(0)));
 
-        let after = server.submit(img.clone()).unwrap().wait().unwrap();
+        let after = server
+            .submit(0, img.clone(), Admission::Block)
+            .unwrap()
+            .wait()
+            .unwrap();
         assert_eq!(after.generation(), 1);
         assert_eq!(after.age(), 0);
         // Each response reproduces offline from its (generation, age).
@@ -3266,7 +3223,7 @@ mod tests {
         // A huge latency budget and an undersized batch park the request:
         // try_wait must observe the pending state.
         let server = build_tiny(1, 64, 5_000_000);
-        let mut handle = server.submit(sample_image(1)).unwrap();
+        let mut handle = server.submit(0, sample_image(1), Admission::Block).unwrap();
         assert!(handle.try_wait().is_none(), "queued request must poll None");
         // Shutdown drains the parked request; the buffered response
         // survives the workers.
@@ -3508,7 +3465,7 @@ mod tests {
         let server = build_tiny(1, 4, 0);
         let image = sample_image(2);
         let (want, _) = server.model(0).run_image(&image).unwrap();
-        let handle = server.submit(image).unwrap();
+        let handle = server.submit(0, image, Admission::Block).unwrap();
         let resp = crate::gateway::block_on(handle).expect("served future resolves");
         assert_eq!(resp.output(), &want);
         server.shutdown();
@@ -3533,8 +3490,8 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(server.model_count(), 2);
-        let a = server.submit_to(0, sample_image(3)).unwrap();
-        let b = server.submit_to(1, sample_image(3)).unwrap();
+        let a = server.submit(0, sample_image(3), Admission::Block).unwrap();
+        let b = server.submit(1, sample_image(3), Admission::Block).unwrap();
         let (ra, rb) = (a.wait().unwrap(), b.wait().unwrap());
         assert_eq!(ra.model_index(), 0);
         assert_eq!(rb.model_index(), 1);

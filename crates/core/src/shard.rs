@@ -13,7 +13,7 @@
 //!   array;
 //! * **row-group splits** for layers whose filters are longer than a
 //!   tile's row budget: each tile computes the partial sums of its row
-//!   groups ([`crate::engine::run_vector_groups`] — the cache-blocked
+//!   groups ([`crate::engine::run_batch_groups_at_age`] — the cache-blocked
 //!   panel kernel; tiles inherit its speed and its bit-exactness
 //!   guarantee unchanged) and the partials merge by an exact elementwise
 //!   `i64` accumulator reduction before the digital requantization
@@ -215,18 +215,8 @@ impl ShardPlan {
                 found: fp,
             });
         }
-        let layers = model.compiled_layers();
-        if self.placements.len() != layers.len() {
-            return Err(CoreError::Shard(format!(
-                "plan covers {} layers, model has {}",
-                self.placements.len(),
-                layers.len()
-            )));
-        }
-        for (i, (placement, layer)) in self.placements.iter().zip(layers).enumerate() {
-            if placement.slices.is_empty() {
-                return Err(CoreError::Shard(format!("layer {i} has no slices")));
-            }
+        self.check_coverage(model)?;
+        for (i, placement) in self.placements.iter().enumerate() {
             let mut next = 0usize;
             for slice in &placement.slices {
                 if slice.tile >= self.tiles {
@@ -244,9 +234,33 @@ impl ShardPlan {
                 }
                 next = slice.groups.end;
             }
-            if next != layer.group_count() {
+        }
+        Ok(())
+    }
+
+    /// The O(layers) guard every placed run takes before touching the
+    /// crossbars: one placement per matrix layer, each ending at its
+    /// layer's last row group. It catches a plan built for a model with a
+    /// different row-group count per layer, which the structural
+    /// fingerprint cannot tell apart (crossbar geometry is configuration,
+    /// not graph structure).
+    fn check_coverage(&self, model: &CompiledModel) -> Result<(), CoreError> {
+        let layers = model.compiled_layers();
+        if self.placements.len() != layers.len() {
+            return Err(CoreError::Shard(format!(
+                "plan covers {} layers, model has {}",
+                self.placements.len(),
+                layers.len()
+            )));
+        }
+        for (i, (placement, layer)) in self.placements.iter().zip(layers).enumerate() {
+            let Some(last) = placement.slices.last() else {
+                return Err(CoreError::Shard(format!("layer {i} has no slices")));
+            };
+            if last.groups.end != layer.group_count() {
                 return Err(CoreError::Shard(format!(
-                    "layer {i} covers groups 0..{next}, layer has {}",
+                    "layer {i} covers groups 0..{}, layer has {}",
+                    last.groups.end,
                     layer.group_count()
                 )));
             }
@@ -460,53 +474,31 @@ impl ShardPlan {
         cells
     }
 
-    /// Runs one image through `model` under this placement, returning the
-    /// output tensor and one [`RunStats`] bucket per tile (merging every
-    /// bucket reproduces the unsharded stats exactly).
+    /// Runs one image through `model` under this placement on a device
+    /// aged `base_age` served vectors since its crossbars were last
+    /// programmed, returning the output tensor and one [`RunStats`] bucket
+    /// per tile (merging every bucket reproduces the unsharded stats
+    /// exactly).
     ///
     /// `parallel_tiles` fans a split layer's row ranges across one worker
     /// thread per involved tile (pass `false` when the caller already
     /// provides image- or request-level parallelism); both settings
     /// produce identical bytes.
     ///
-    /// # Errors
-    ///
-    /// Propagates operator shape errors for a mis-shaped image.
-    ///
-    /// # Panics
-    ///
-    /// May panic if the plan was built for a different model — validate
-    /// with [`ShardPlan::check_model`] first (the constructors already
-    /// do).
-    pub fn run_image_in(
-        &self,
-        model: &CompiledModel,
-        image: &Tensor<u8>,
-        arena: &mut ValueArena,
-        parallel_tiles: bool,
-    ) -> Result<(Tensor<u8>, Vec<RunStats>), CoreError> {
-        self.run_image_in_at_age(model, image, arena, parallel_tiles, 0)
-    }
-
-    /// [`ShardPlan::run_image_in`] with the device aged by `base_age`
-    /// served vectors since its crossbars were last programmed.
-    ///
     /// Vector `i` of the image runs at age `base_age + i`; its drift epoch
     /// follows `model.config().lifetime`. Age 0 (or a non-drifting
-    /// lifetime) is bit-identical to [`ShardPlan::run_image_in`], and at
-    /// any age every placement/thread configuration still produces
-    /// identical bytes — age is part of the noise-substream key, not of
-    /// the schedule.
+    /// lifetime) is bit-identical to an un-aged device, and at any age
+    /// every placement/thread configuration still produces identical
+    /// bytes — age is part of the noise-substream key, not of the
+    /// schedule.
     ///
     /// # Errors
     ///
-    /// Propagates operator shape errors for a mis-shaped image.
-    ///
-    /// # Panics
-    ///
-    /// May panic if the plan was built for a different model — validate
-    /// with [`ShardPlan::check_model`] first (the constructors already
-    /// do).
+    /// Returns [`CoreError::Shard`] before any crossbar work when the plan
+    /// does not cover `model` (a different matrix-layer count, or a layer
+    /// whose row groups the placement does not end on — e.g. a plan built
+    /// for the same graph compiled at another crossbar height), and
+    /// propagates operator shape errors for a mis-shaped image.
     pub fn run_image_in_at_age(
         &self,
         model: &CompiledModel,
@@ -515,21 +507,15 @@ impl ShardPlan {
         parallel_tiles: bool,
         base_age: u64,
     ) -> Result<(Tensor<u8>, Vec<RunStats>), CoreError> {
-        debug_assert_eq!(self.placements.len(), model.compiled_layers().len());
-        let mut engine = ShardedEngine {
-            layers: model.compiled_layers(),
-            placements: &self.placements,
-            cursor: 0,
-            tile_stats: vec![RunStats::default(); self.tiles],
-            next_vector: 0,
-            noise_seed: model.noise_seed(),
+        run_image_placed(
+            model,
+            Some(self),
+            image,
+            arena,
             parallel_tiles,
             base_age,
-        };
-        let out = model
-            .graph()
-            .run_planned(model.exec_plan(), image, &mut engine, arena)?;
-        Ok((out, engine.tile_stats))
+            None,
+        )
     }
 }
 
@@ -747,8 +733,7 @@ impl ShardedModel {
     ///
     /// Propagates operator shape errors for a mis-shaped image.
     pub fn run_image(&self, image: &Tensor<u8>) -> Result<(Tensor<u8>, Vec<RunStats>), CoreError> {
-        let mut arena = ValueArena::new();
-        self.plan.run_image_in(&self.model, image, &mut arena, true)
+        self.run_image_at_age(image, 0)
     }
 
     /// [`ShardedModel::run_image`] at device age `base_age` (served
@@ -792,27 +777,8 @@ impl ShardedModel {
         images: &[Tensor<u8>],
         threads: usize,
     ) -> Result<ShardBatchResult, CoreError> {
-        let threads = threads.clamp(1, images.len().max(1));
-        let tile_parallel = threads <= 1;
-        let blocks = run_chunks(images.len(), threads, |first, n| {
-            let mut arena = ValueArena::new();
-            images[first..first + n]
-                .iter()
-                .map(|img| {
-                    self.plan
-                        .run_image_in(&self.model, img, &mut arena, tile_parallel)
-                })
-                .collect::<Vec<_>>()
-        });
-        let mut outputs = Vec::with_capacity(images.len());
-        let mut tile_stats = vec![RunStats::default(); self.plan.tiles()];
-        for result in blocks.into_iter().flatten() {
-            let (out, per_tile) = result?;
-            for (bucket, local) in tile_stats.iter_mut().zip(&per_tile) {
-                bucket.merge(local);
-            }
-            outputs.push(out);
-        }
+        let (outputs, tile_stats) =
+            run_batch_placed(&self.model, Some(&self.plan), images, threads)?;
         let mut stats = RunStats::default();
         for bucket in &tile_stats {
             stats.merge(bucket);
@@ -825,35 +791,121 @@ impl ShardedModel {
     }
 }
 
-/// Per-image engine adapter for sharded execution: serves the graph's
-/// matrix-layer calls from the placement, layer by layer (the cursor
-/// mirrors [`crate::model`]'s `PlannedEngine`).
-struct ShardedEngine<'m> {
+/// The image fan-out behind every batch front end: whole images across
+/// `threads` workers (clamped to one per image), each worker reusing one
+/// arena, outputs in input order and per-tile statistics merged across the
+/// batch. With a single image worker there is no image-level fan-out, so
+/// each image fans out inside its layers instead; both paths produce
+/// identical bytes, so this is purely a scheduling choice.
+pub(crate) fn run_batch_placed(
+    model: &CompiledModel,
+    plan: Option<&ShardPlan>,
+    images: &[Tensor<u8>],
+    threads: usize,
+) -> Result<(Vec<Tensor<u8>>, Vec<RunStats>), CoreError> {
+    let threads = threads.clamp(1, images.len().max(1));
+    let inner_parallel = threads <= 1;
+    let blocks = run_chunks(images.len(), threads, |first, n| {
+        let mut arena = ValueArena::new();
+        images[first..first + n]
+            .iter()
+            .map(|img| run_image_placed(model, plan, img, &mut arena, inner_parallel, 0, None))
+            .collect::<Vec<_>>()
+    });
+    let mut outputs = Vec::with_capacity(images.len());
+    let mut tile_stats = vec![RunStats::default(); plan.map_or(1, ShardPlan::tiles)];
+    for result in blocks.into_iter().flatten() {
+        let (out, per_tile) = result?;
+        for (bucket, local) in tile_stats.iter_mut().zip(&per_tile) {
+            bucket.merge(local);
+        }
+        outputs.push(out);
+    }
+    Ok((outputs, tile_stats))
+}
+
+/// The one per-image execution path, sharded or not: walks `model`'s plan
+/// with every matrix layer served under `plan`'s placement — or, with no
+/// plan, whole on tile 0 of a one-tile array — and returns the output and
+/// one [`RunStats`] bucket per tile. With `layer_stats` (one entry per
+/// matrix layer) each layer's statistics are also attributed to it; the
+/// attribution only adds exact merges, so bytes and buckets are identical
+/// either way.
+///
+/// A plan is checked against the model (O(layers), see
+/// [`ShardPlan::check_coverage`]) before any crossbar work.
+pub(crate) fn run_image_placed(
+    model: &CompiledModel,
+    plan: Option<&ShardPlan>,
+    image: &Tensor<u8>,
+    arena: &mut ValueArena,
+    parallel: bool,
+    base_age: u64,
+    layer_stats: Option<&mut [RunStats]>,
+) -> Result<(Tensor<u8>, Vec<RunStats>), CoreError> {
+    if let Some(plan) = plan {
+        plan.check_coverage(model)?;
+    }
+    let mut engine = PlacedEngine {
+        layers: model.compiled_layers(),
+        placements: plan.map(ShardPlan::placements),
+        cursor: 0,
+        tile_stats: vec![RunStats::default(); plan.map_or(1, ShardPlan::tiles)],
+        layer_stats,
+        next_vector: 0,
+        noise_seed: model.noise_seed(),
+        parallel,
+        base_age,
+    };
+    let out = model
+        .graph()
+        .run_planned(model.exec_plan(), image, &mut engine, arena)?;
+    Ok((out, engine.tile_stats))
+}
+
+/// Per-image engine adapter: serves the graph's matrix-layer calls from
+/// the compiled list under their placements. Calls arrive in execution
+/// order — the same order [`raella_nn::graph::Graph::matrix_layers`]
+/// reports (property-tested in `crates/nn/tests/graph_proptests.rs`) — so
+/// a cursor suffices. Every image starts a fresh noise-stream state: the
+/// model's seed, vector counter at zero.
+struct PlacedEngine<'m> {
     layers: &'m [Arc<CompiledLayer>],
-    placements: &'m [LayerPlacement],
+    /// Per-layer placements; `None` runs every layer whole on tile 0.
+    placements: Option<&'m [LayerPlacement]>,
     cursor: usize,
     tile_stats: Vec<RunStats>,
+    layer_stats: Option<&'m mut [RunStats]>,
     next_vector: u64,
     noise_seed: u64,
-    parallel_tiles: bool,
+    parallel: bool,
+    /// Device age (served vectors since last programming) at which this
+    /// image starts; vector `i` of the image runs at `base_age + i`.
     base_age: u64,
 }
 
-impl MatVecEngine for ShardedEngine<'_> {
+impl MatVecEngine for PlacedEngine<'_> {
     fn layer_outputs(&mut self, layer: &MatrixLayer, inputs: &[Act]) -> Vec<u8> {
-        let compiled = &self.layers[self.cursor];
-        let placement = &self.placements[self.cursor];
+        let node = self.cursor;
         self.cursor += 1;
+        let compiled = &self.layers[node];
         debug_assert_eq!(compiled.name(), layer.name(), "layer order drifted");
+        let tile_stats = &mut self.tile_stats;
+        let mut layer_stats = self.layer_stats.as_deref_mut().map(|s| &mut s[node]);
         let out = run_layer_placed(
             compiled,
-            placement,
+            self.placements.map(|p| &p[node]),
             inputs,
             self.noise_seed,
             self.next_vector,
             self.base_age,
-            &mut self.tile_stats,
-            self.parallel_tiles,
+            self.parallel,
+            &mut |tile, stats| {
+                tile_stats[tile].merge(stats);
+                if let Some(node_stats) = layer_stats.as_deref_mut() {
+                    node_stats.merge(stats);
+                }
+            },
         );
         self.next_vector += (inputs.len() / layer.filter_len()) as u64;
         out
@@ -892,51 +944,45 @@ fn run_slice(
     SliceResult { acc, stats }
 }
 
-/// Executes one layer's batch under its placement, attributing statistics
-/// to the tiles that did the work.
+/// Executes one layer's batch under its placement, handing each piece of
+/// statistics to `charge` with the tile that did the work.
 ///
-/// Single-slice layers run the ordinary batch kernels on their tile. A
-/// split layer runs each tile's row-group slices (optionally one worker
-/// thread per involved tile — "each tile gets its own worker"), reduces
-/// the partial accumulators elementwise, and finalizes each vector on the
-/// placement's home tile. Both paths are bit-identical to the unsharded
-/// kernels because noise substreams are keyed per `(vector, row group)`.
+/// An unplaced or single-slice layer runs the whole-layer batch kernel on
+/// its tile (vector-parallel when `parallel`). A split layer runs each
+/// tile's row-group slices (with `parallel`, one worker thread per
+/// involved tile — "each tile gets its own worker"), reduces the partial
+/// accumulators elementwise, and finalizes each vector on the placement's
+/// home tile. Both paths are bit-identical to the unsharded kernels
+/// because noise substreams are keyed per `(vector, row group)`.
 #[allow(clippy::too_many_arguments)]
 fn run_layer_placed(
     layer: &CompiledLayer,
-    placement: &LayerPlacement,
+    placement: Option<&LayerPlacement>,
     inputs: &[Act],
     noise_seed: u64,
     first_vector: u64,
     base_age: u64,
-    tile_stats: &mut [RunStats],
-    parallel_tiles: bool,
+    parallel: bool,
+    charge: &mut dyn FnMut(usize, &RunStats),
 ) -> Vec<u8> {
-    if !placement.is_split() {
-        let slice = &placement.slices[0];
+    let Some(placement) = placement.filter(|p| p.is_split()) else {
         let mut local = RunStats::default();
-        let out = if parallel_tiles {
-            run_batch_parallel_at_age(
-                layer,
-                inputs,
-                &mut local,
-                noise_seed,
-                first_vector,
-                base_age,
-            )
+        let run = if parallel {
+            run_batch_parallel_at_age
         } else {
-            run_batch_at_age(
-                layer,
-                inputs,
-                &mut local,
-                noise_seed,
-                first_vector,
-                base_age,
-            )
+            run_batch_at_age
         };
-        tile_stats[slice.tile].merge(&local);
+        let out = run(
+            layer,
+            inputs,
+            &mut local,
+            noise_seed,
+            first_vector,
+            base_age,
+        );
+        charge(placement.map_or(0, LayerPlacement::home_tile), &local);
         return out;
-    }
+    };
 
     let filters = layer.filters();
     let filter_len = layer.filter_len();
@@ -969,7 +1015,7 @@ fn run_layer_placed(
             })
             .collect::<Vec<SliceResult>>()
     };
-    let results: Vec<Vec<SliceResult>> = if parallel_tiles && by_tile.len() > 1 {
+    let results: Vec<Vec<SliceResult>> = if parallel && by_tile.len() > 1 {
         std::thread::scope(|scope| {
             let run_tile = &run_tile;
             let handles: Vec<_> = by_tile
@@ -993,7 +1039,7 @@ fn run_layer_placed(
             for (t, &p) in total.iter_mut().zip(&sr.acc) {
                 *t += p;
             }
-            tile_stats[*tile].merge(&sr.stats);
+            charge(*tile, &sr.stats);
         }
     }
 
@@ -1005,8 +1051,7 @@ fn run_layer_placed(
         .zip(total.chunks_exact(filters))
         .zip(out.chunks_exact_mut(filters))
     {
-        let fin = finalize_vector(layer, vec, acc, out_chunk);
-        tile_stats[home].merge(&fin);
+        charge(home, &finalize_vector(layer, vec, acc, out_chunk));
     }
     out
 }
@@ -1149,6 +1194,43 @@ mod tests {
         // Wrong layer count.
         let bad = ShardPlan::custom(&model, 2, tile, vec![]);
         assert!(matches!(bad, Err(CoreError::Shard(_))));
+    }
+
+    /// The same graph compiled at another crossbar height has the same
+    /// fingerprint and layer count but more row groups per layer: a run
+    /// under the other model's plan must refuse it, not silently skip the
+    /// row groups the plan does not name.
+    #[test]
+    fn run_rejects_plan_placed_for_another_crossbar_height() {
+        let a = compile();
+        let b = CompiledModel::compile_with_cache(
+            &long_filter_graph(),
+            &RaellaConfig {
+                crossbar_rows: 32,
+                ..cfg()
+            },
+            &crate::compiler::SharedCompileCache::new(),
+        )
+        .unwrap();
+        let groups = |m: &CompiledModel| -> Vec<usize> {
+            m.compiled_layers()
+                .iter()
+                .map(|l| l.group_count())
+                .collect()
+        };
+        assert_eq!(groups(&a), [3, 1]);
+        assert_eq!(groups(&b), [5, 1]);
+        let plan = ShardPlan::place(&a, 3, TileSpec::new(64, 64)).unwrap();
+        let expected = "layer 0 covers groups 0..3, layer has 5";
+        match plan.check_model(&b) {
+            Err(CoreError::Shard(msg)) => assert_eq!(msg, expected),
+            other => panic!("expected Shard error, got {other:?}"),
+        }
+        let run = plan.run_image_in_at_age(&b, &image(1), &mut ValueArena::new(), false, 0);
+        match run {
+            Err(CoreError::Shard(msg)) => assert_eq!(msg, expected),
+            other => panic!("expected Shard error, got {:?}", other.map(|(out, _)| out)),
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use raella_core::compiler::SharedCompileCache;
 use raella_core::gateway::{Gateway, GatewayClient, LocalPool};
-use raella_core::server::RaellaServer;
+use raella_core::server::{Admission, RaellaServer};
 use raella_core::RaellaConfig;
 use raella_nn::graph::Graph;
 use raella_nn::synth::SynthLayer;
@@ -78,7 +78,7 @@ fn ten_thousand_in_flight_from_four_threads_stay_bit_identical() {
     for i in 0..IN_FLIGHT {
         handles.push(
             server
-                .submit(images[i % IMAGES].clone())
+                .submit(0, images[i % IMAGES].clone(), Admission::Block)
                 .expect("unbounded submit admits"),
         );
     }

@@ -8,7 +8,7 @@
 //! processes, so nothing outside this file observes it either).
 
 use raella_core::compiler::CompiledLayer;
-use raella_core::engine::{run_batch, run_batch_parallel, RunStats};
+use raella_core::engine::{run_batch_at_age, run_batch_parallel_at_age, RunStats};
 use raella_core::RaellaConfig;
 use raella_nn::synth::SynthLayer;
 use raella_xbar::slicing::Slicing;
@@ -27,12 +27,12 @@ fn parallel_output_is_thread_count_invariant() {
             .expect("compiles");
         let inputs = layer.sample_inputs(11, 5); // odd count: ragged blocks
         let mut s_serial = RunStats::default();
-        let baseline = run_batch(&compiled, &inputs, &mut s_serial, 42);
+        let baseline = run_batch_at_age(&compiled, &inputs, &mut s_serial, 42, 0, 0);
 
         for threads in ["1", "2", "3", "4", "7", "16"] {
             std::env::set_var("RAELLA_THREADS", threads);
             let mut s_par = RunStats::default();
-            let parallel = run_batch_parallel(&compiled, &inputs, &mut s_par, 42);
+            let parallel = run_batch_parallel_at_age(&compiled, &inputs, &mut s_par, 42, 0, 0);
             assert_eq!(
                 baseline, parallel,
                 "outputs diverged at noise {noise}, {threads} threads"

@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use raella_arch::tile::TileSpec;
 use raella_core::compiler::SharedCompileCache;
 use raella_core::model::CompiledModel;
-use raella_core::server::RaellaServer;
+use raella_core::server::{Admission, RaellaServer};
 use raella_core::shard::{LayerPlacement, ShardPlan, ShardSlice};
 use raella_core::{DeviceLifetime, RaellaConfig, RunStats};
 use raella_nn::graph::{Graph, ValueArena};
@@ -204,7 +204,7 @@ proptest! {
             for round in 0..swap_at + 2 {
                 let img = images[round % images.len()].clone();
                 let resp = server
-                    .submit(img.clone())
+                    .submit(0, img.clone(), Admission::Block)
                     .expect("admits")
                     .wait()
                     .expect("request succeeds");

@@ -195,7 +195,7 @@ proptest! {
             .latency_budget_ticks(0)
             .build()
             .expect("server builds");
-        let handles = server.submit_many(images.iter().cloned()).expect("admits");
+        let handles = server.submit_many(0, images.iter().cloned()).expect("admits");
         let responses = RaellaServer::wait_all(handles).expect("all served");
         for (i, (image, resp)) in images.iter().zip(&responses).enumerate() {
             prop_assert_eq!(resp.selected_config(), 0, "no budget registered");

@@ -23,7 +23,7 @@
 
 use raella_core::engine::RaellaEngine;
 use raella_core::model::CompiledModel;
-use raella_core::server::RaellaServer;
+use raella_core::server::{Admission, RaellaServer};
 use raella_core::{RaellaConfig, RunStats, SharedCompileCache};
 use raella_nn::graph::Graph;
 use raella_nn::rng::SynthRng;
@@ -179,7 +179,11 @@ fn run_batch_is_bit_identical_to_serial_and_thread_invariant() {
             // nothing is ever rejected.
             let handles: Vec<_> = images
                 .iter()
-                .map(|img| server.submit(img.clone()).expect("blocking submit admits"))
+                .map(|img| {
+                    server
+                        .submit(0, img.clone(), Admission::Block)
+                        .expect("blocking submit admits")
+                })
                 .collect();
             for (i, handle) in handles.into_iter().enumerate() {
                 assert_eq!(handle.sequence(), i as u64, "{tag}");
@@ -221,7 +225,7 @@ fn run_batch_is_bit_identical_to_serial_and_thread_invariant() {
                     for round in 0..2 {
                         let idx = (submitter + round) % images.len();
                         let resp = server
-                            .submit(images[idx].clone())
+                            .submit(0, images[idx].clone(), Admission::Block)
                             .expect("blocking submit admits")
                             .wait()
                             .expect("request succeeds");

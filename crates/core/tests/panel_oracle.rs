@@ -28,7 +28,7 @@
 use proptest::prelude::*;
 
 use raella_core::compiler::CompiledLayer;
-use raella_core::engine::{run_vector_groups, run_vector_groups_reference, RunStats};
+use raella_core::engine::{run_vector_groups_at_age, run_vector_groups_reference_at_age, RunStats};
 use raella_core::scratch::VectorScratch;
 use raella_core::{RaellaConfig, WeightEncoding};
 use raella_nn::matrix::{Act, InputProfile, MatrixLayer};
@@ -60,21 +60,23 @@ fn assert_kernels_agree_on(
     for (v, input) in inputs.chunks(compiled.filter_len()).enumerate() {
         let mut panel_scratch = VectorScratch::for_layer(compiled);
         let mut scalar_scratch = VectorScratch::for_layer(compiled);
-        let ps = run_vector_groups(
+        let ps = run_vector_groups_at_age(
             compiled,
             input,
             groups.clone(),
             &mut panel_scratch,
             seed,
             v as u64,
+            0,
         );
-        let ss = run_vector_groups_reference(
+        let ss = run_vector_groups_reference_at_age(
             compiled,
             input,
             groups.clone(),
             &mut scalar_scratch,
             seed,
             v as u64,
+            0,
         );
         prop_assert_eq!(
             panel_scratch.accumulators(),

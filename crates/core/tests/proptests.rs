@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use raella_core::center::{center_cost, offsets, optimal_center};
 use raella_core::compiler::CompiledLayer;
-use raella_core::engine::{run_batch, run_batch_parallel, RunStats};
+use raella_core::engine::{run_batch_at_age, run_batch_parallel_at_age, RunStats};
 use raella_core::RaellaConfig;
 use raella_nn::matrix::{InputProfile, MatrixLayer};
 use raella_nn::quant::OutputQuant;
@@ -138,7 +138,7 @@ proptest! {
         let compiled = CompiledLayer::with_slicing(&layer, slicing, &cfg).expect("valid");
         let inputs = layer.sample_inputs(2, seed);
         let mut stats = RunStats::default();
-        let analog = run_batch(&compiled, &inputs, &mut stats, 0);
+        let analog = run_batch_at_age(&compiled, &inputs, &mut stats, 0, 0, 0);
         prop_assert_eq!(analog, layer.reference_outputs(&inputs));
     }
 
@@ -160,8 +160,8 @@ proptest! {
         let mut s1 = RunStats::default();
         let mut s2 = RunStats::default();
         prop_assert_eq!(
-            run_batch(&spec, &inputs, &mut s1, 0),
-            run_batch(&bs, &inputs, &mut s2, 0)
+            run_batch_at_age(&spec, &inputs, &mut s1, 0, 0, 0),
+            run_batch_at_age(&bs, &inputs, &mut s2, 0, 0, 0)
         );
         // And speculation never converts more than bit-serial.
         prop_assert!(s1.events.adc_converts <= s2.events.adc_converts);
@@ -293,8 +293,8 @@ proptest! {
         let inputs = layer.sample_inputs(6, seed);
         let mut s_serial = RunStats::default();
         let mut s_par = RunStats::default();
-        let serial = run_batch(&compiled, &inputs, &mut s_serial, seed);
-        let parallel = run_batch_parallel(&compiled, &inputs, &mut s_par, seed);
+        let serial = run_batch_at_age(&compiled, &inputs, &mut s_serial, seed, 0, 0);
+        let parallel = run_batch_parallel_at_age(&compiled, &inputs, &mut s_par, seed, 0, 0);
         prop_assert_eq!(serial, parallel);
         prop_assert_eq!(s_serial, s_par);
     }
@@ -327,7 +327,7 @@ proptest! {
                 .expect("valid");
         let inputs = vec![0i16; len * 2];
         let mut stats = RunStats::default();
-        let analog = run_batch(&compiled, &inputs, &mut stats, 0);
+        let analog = run_batch_at_age(&compiled, &inputs, &mut stats, 0, 0, 0);
         prop_assert_eq!(analog, layer.reference_outputs(&inputs));
     }
 }

@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 use raella_arch::tile::TileSpec;
 use raella_core::compiler::SharedCompileCache;
 use raella_core::model::CompiledModel;
-use raella_core::server::RaellaServer;
+use raella_core::server::{Admission, RaellaServer};
 use raella_core::{
     DeviceLifetime, RaellaConfig, RecalContext, RecalTrigger, RecalibrationAction,
     RecalibrationPolicy,
@@ -137,7 +137,7 @@ fn targeted_refresh_swaps_one_layer_and_replays_via_layer_generations() {
     let mut log = Vec::new();
     for (i, img) in pool.iter().enumerate() {
         let resp = server
-            .submit(img.clone())
+            .submit(0, img.clone(), Admission::Block)
             .expect("admits")
             .wait()
             .expect("completes");
@@ -175,7 +175,7 @@ fn targeted_refresh_swaps_one_layer_and_replays_via_layer_generations() {
 
     for (i, img) in pool.iter().enumerate() {
         let resp = server
-            .submit(img.clone())
+            .submit(0, img.clone(), Admission::Block)
             .expect("admits")
             .wait()
             .expect("completes");
@@ -214,7 +214,7 @@ fn wear_aware_policy_accounts_full_reprogram_writes_per_tile() {
 
     let img = image(7);
     let before = server
-        .submit(img.clone())
+        .submit(0, img.clone(), Admission::Block)
         .expect("admits")
         .wait()
         .expect("completes");
@@ -236,7 +236,7 @@ fn wear_aware_policy_accounts_full_reprogram_writes_per_tile() {
     assert_eq!(server.metrics().tile_writes()[0], writes_after);
 
     let after = server
-        .submit(img.clone())
+        .submit(0, img.clone(), Admission::Block)
         .expect("admits")
         .wait()
         .expect("completes");
@@ -355,7 +355,7 @@ fn rejected_watchdog_recalibrations_are_counted_while_serving_continues() {
     const REQUESTS: u64 = 4;
     for seed in 0..REQUESTS {
         let resp = server
-            .submit(image(seed))
+            .submit(0, image(seed), Admission::Block)
             .expect("admits")
             .wait()
             .expect("requests keep completing after rejected recalibrations");

@@ -18,7 +18,7 @@ use raella_arch::tile::TileSpec;
 use raella_core::compiler::SharedCompileCache;
 use raella_core::gateway::LocalPool;
 use raella_core::model::CompiledModel;
-use raella_core::server::RaellaServer;
+use raella_core::server::{Admission, RaellaServer};
 use raella_core::{CoreError, DeviceLifetime, RaellaConfig, RunStats};
 use raella_nn::graph::Graph;
 use raella_nn::rng::SynthRng;
@@ -130,7 +130,7 @@ fn race_and_verify(server: &RaellaServer) {
                         _ => (conv_images[idx].clone(), &expect_conv[idx]),
                     };
                     let resp = server
-                        .submit_to(model, image)
+                        .submit(model, image, Admission::Block)
                         .expect("blocking submit admits")
                         .wait()
                         .expect("request succeeds");
@@ -238,7 +238,7 @@ fn hot_model_cannot_starve_trickle_model() {
             let mut handles = Vec::new();
             let mut rejections = 0u64;
             while !stop.load(Ordering::SeqCst) {
-                match server.try_submit_to(0, hot_image.clone()) {
+                match server.submit(0, hot_image.clone(), Admission::Fail) {
                     Ok(handle) => handles.push(handle),
                     Err(CoreError::QueueFull { .. }) => {
                         rejections += 1;
@@ -261,7 +261,7 @@ fn hot_model_cannot_starve_trickle_model() {
         let stop_saturator = StopOnDrop(&stop);
         for round in 0..5 {
             let handle = server
-                .submit_to(1, trickle_image.clone())
+                .submit(1, trickle_image.clone(), Admission::Block)
                 .expect("trickle blocking submit admits");
             let hot_before = server.metrics().served()[0];
             // Count hot completions when the trickle request completes,
@@ -323,12 +323,16 @@ fn shutdown_under_load_drains_every_handle() {
         for i in 0..PER_MODEL {
             handles.push((
                 0usize,
-                server.submit(long_image(0)).expect("unbounded admits"),
+                server
+                    .submit(0, long_image(0), Admission::Block)
+                    .expect("unbounded admits"),
                 i,
             ));
             handles.push((
                 1usize,
-                server.submit_to(1, conv_image(0)).expect("model 1 exists"),
+                server
+                    .submit(1, conv_image(0), Admission::Block)
+                    .expect("model 1 exists"),
                 i,
             ));
         }
@@ -387,7 +391,11 @@ fn blocked_admissions_are_granted_in_arrival_order() {
 
     let mut fillers = Vec::new();
     for _ in 0..FILLERS {
-        fillers.push(server.try_submit(image.clone()).expect("queue has room"));
+        fillers.push(
+            server
+                .submit(0, image.clone(), Admission::Fail)
+                .expect("queue has room"),
+        );
     }
     assert_eq!(server.pending(), FILLERS, "queue pinned full");
 
@@ -397,7 +405,9 @@ fn blocked_admissions_are_granted_in_arrival_order() {
             let server = &server;
             let image = image.clone();
             blockers.push(scope.spawn(move || {
-                let handle = server.submit(image).expect("blocked submit is granted");
+                let handle = server
+                    .submit(0, image, Admission::Block)
+                    .expect("blocked submit is granted");
                 (k, handle)
             }));
             // Blocker k+1 may only enter admission once blocker k holds
@@ -469,7 +479,9 @@ fn cross_lane_blocked_admissions_grant_in_global_arrival_order() {
     let (want_long, _) = server.model(0).run_image(&images[0]).expect("runs");
     let (want_conv, _) = server.model(1).run_image(&images[1]).expect("runs");
 
-    let filler = server.try_submit(images[0].clone()).expect("slot is free");
+    let filler = server
+        .submit(0, images[0].clone(), Admission::Fail)
+        .expect("slot is free");
     assert_eq!(server.pending(), 1, "global bound pinned");
 
     let granted: Vec<(usize, usize, raella_core::RequestHandle)> = std::thread::scope(|scope| {
@@ -482,7 +494,7 @@ fn cross_lane_blocked_admissions_grant_in_global_arrival_order() {
             let image = images[model].clone();
             blockers.push(scope.spawn(move || {
                 let handle = server
-                    .submit_to(model, image)
+                    .submit(model, image, Admission::Block)
                     .expect("blocked submit is granted");
                 (k, model, handle)
             }));
@@ -540,8 +552,18 @@ fn shutdown_under_load_wakes_every_pending_future() {
 
     let mut handles = Vec::new();
     for _ in 0..PER_MODEL {
-        handles.push((0usize, server.submit(long_image(0)).expect("admits")));
-        handles.push((1usize, server.submit_to(1, conv_image(0)).expect("admits")));
+        handles.push((
+            0usize,
+            server
+                .submit(0, long_image(0), Admission::Block)
+                .expect("admits"),
+        ));
+        handles.push((
+            1usize,
+            server
+                .submit(1, conv_image(0), Admission::Block)
+                .expect("admits"),
+        ));
     }
 
     let resolved = Rc::new(RefCell::new(Vec::new()));
@@ -622,7 +644,7 @@ fn watchdog_recalibrates_under_racing_load_without_stranding_requests() {
                 for round in 0..ROUNDS {
                     let idx = (submitter + round) % IMAGES;
                     let resp = server
-                        .submit(pool[idx].clone())
+                        .submit(0, pool[idx].clone(), Admission::Block)
                         .expect("unbounded submit admits")
                         .wait()
                         .expect("request succeeds");
@@ -755,7 +777,7 @@ fn fault_drill_kills_a_tile_under_racing_load_with_zero_rejections() {
                     }
                     let idx = (submitter + round) % IMAGES;
                     let resp = server
-                        .submit(pool[idx].clone())
+                        .submit(0, pool[idx].clone(), Admission::Block)
                         .expect("unbounded submit admits")
                         .wait()
                         .expect("request completes across the reroute");

@@ -18,7 +18,7 @@
 
 use raella_arch::tile::TileSpec;
 use raella_core::compiler::{CompiledLayer, SharedCompileCache};
-use raella_core::engine::{finalize_vector, run_batch_at, run_batch_groups_at, RunStats};
+use raella_core::engine::{finalize_vector, run_batch_at_age, run_batch_groups_at_age, RunStats};
 use raella_core::model::CompiledModel;
 use raella_core::shard::{LayerPlacement, ShardPlan, ShardSlice, ShardedModel};
 use raella_core::RaellaConfig;
@@ -101,13 +101,13 @@ fn partial_sums_match_hand_computation_and_merge_exactly() {
     // Tile 0: rows 0..4.  f0: 3·1+1·2+2·3+0·4 = 11;  f1: 3·16+1·32+2·8 = 96.
     let mut stats0 = RunStats::default();
     let mut acc0 = vec![0i64; 2];
-    run_batch_groups_at(&layer, &INPUT, 0..1, &mut stats0, 7, 0, &mut acc0);
+    run_batch_groups_at_age(&layer, &INPUT, 0..1, &mut stats0, 7, 0, 0, &mut acc0);
     assert_eq!(acc0, vec![11, 96], "tile 0 partial accumulators");
 
     // Tile 1: rows 4..6.  f0: 5·5+7·6 = 67;  f1: 5·2+7·1 = 17.
     let mut stats1 = RunStats::default();
     let mut acc1 = vec![0i64; 2];
-    run_batch_groups_at(&layer, &INPUT, 1..2, &mut stats1, 7, 0, &mut acc1);
+    run_batch_groups_at_age(&layer, &INPUT, 1..2, &mut stats1, 7, 0, 0, &mut acc1);
     assert_eq!(acc1, vec![67, 17], "tile 1 partial accumulators");
 
     // The inter-tile accumulator reduction is exact integer addition.
@@ -128,7 +128,7 @@ fn partial_sums_match_hand_computation_and_merge_exactly() {
 
     // The monolithic engine is exactly the merge of the two tiles.
     let mut full_stats = RunStats::default();
-    let full = run_batch_at(&layer, &INPUT, &mut full_stats, 7, 0);
+    let full = run_batch_at_age(&layer, &INPUT, &mut full_stats, 7, 0, 0);
     assert_eq!(full, out.to_vec());
     let mut merged = RunStats::default();
     merged.merge(&stats0);
@@ -145,9 +145,9 @@ fn per_group_adc_and_dac_events_land_on_slice_boundaries() {
     let layer = compiled();
     let mut stats0 = RunStats::default();
     let mut acc = vec![0i64; 2];
-    run_batch_groups_at(&layer, &INPUT, 0..1, &mut stats0, 7, 0, &mut acc);
+    run_batch_groups_at_age(&layer, &INPUT, 0..1, &mut stats0, 7, 0, 0, &mut acc);
     let mut stats1 = RunStats::default();
-    run_batch_groups_at(&layer, &INPUT, 1..2, &mut stats1, 7, 0, &mut acc);
+    run_batch_groups_at_age(&layer, &INPUT, 1..2, &mut stats1, 7, 0, 0, &mut acc);
 
     for (tile, stats) in [(0, &stats0), (1, &stats1)] {
         // ADC boundary: 2 filters × 2 weight slices = 4 columns per
@@ -205,9 +205,9 @@ fn golden_event_counts_are_frozen_per_tile() {
     let layer = compiled();
     let mut stats0 = RunStats::default();
     let mut acc = vec![0i64; 2];
-    run_batch_groups_at(&layer, &INPUT, 0..1, &mut stats0, 7, 0, &mut acc);
+    run_batch_groups_at_age(&layer, &INPUT, 0..1, &mut stats0, 7, 0, 0, &mut acc);
     let mut stats1 = RunStats::default();
-    run_batch_groups_at(&layer, &INPUT, 1..2, &mut stats1, 7, 0, &mut acc);
+    run_batch_groups_at_age(&layer, &INPUT, 1..2, &mut stats1, 7, 0, 0, &mut acc);
 
     assert_eq!(
         stats0.events,

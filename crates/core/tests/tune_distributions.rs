@@ -4,7 +4,7 @@
 
 use raella_core::adaptive::find_best_slicing;
 use raella_core::compiler::CompiledLayer;
-use raella_core::engine::{run_batch, RunStats};
+use raella_core::engine::{run_batch_at_age, RunStats};
 use raella_core::RaellaConfig;
 use raella_nn::matrix::InputProfile;
 use raella_nn::synth::SynthLayer;
@@ -32,7 +32,7 @@ fn tune() {
                 CompiledLayer::with_slicing(&layer, found.slicing.clone(), &cfg).unwrap();
             let inputs = layer.sample_inputs(8, 1);
             let mut stats = RunStats::default();
-            run_batch(&compiled, &inputs, &mut stats, 0);
+            run_batch_at_age(&compiled, &inputs, &mut stats, 0, 0, 0);
             println!(
                 "b=[{b_lo},{b_hi}] in=({mean},{sparsity}): slicing={} err={:.3} specfail={:.2}% recsat={:.3}% conv/col={:.2}",
                 found.slicing,

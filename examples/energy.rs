@@ -106,7 +106,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .workers(1)
             .energy_budget_pj(0, budget)
             .build()?;
-        let resp = server.submit(mini.sample_image(7))?.wait()?;
+        let resp = server
+            .submit(0, mini.sample_image(7), Admission::Block)?
+            .wait()?;
         let sel = resp.selected_config();
         println!(
             "{label} budget ({budget:.0e} pJ/vector) -> config {sel}: \

@@ -90,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut responses = Vec::new();
     for i in 0..24usize {
-        let resp = server.submit(image.clone())?.wait()?;
+        let resp = server.submit(0, image.clone(), Admission::Block)?.wait()?;
         if i % 6 == 0 || resp.generation() != responses.last().map_or(0, |(g, _)| *g) {
             println!(
                 "  request {i:>2}: generation {} age {:>2} -> {:?}",
@@ -133,7 +133,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     while !server.fail_tile(0, dead_tile)? {
         std::thread::yield_now(); // a concurrent watchdog swap holds the guard
     }
-    let resp = server.submit(image.clone())?.wait()?;
+    let resp = server.submit(0, image.clone(), Admission::Block)?.wait()?;
     let views = server
         .shard_plan(0)
         .expect("the server is sharded")

@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let images: Vec<_> = (0..10).map(|i| model.sample_image(7 + i)).collect();
     let t1 = Instant::now();
-    let handles = server.submit_many(images.iter().cloned())?;
+    let handles = server.submit_many(0, images.iter().cloned())?;
     let responses = RaellaServer::wait_all(handles)?;
     let elapsed = t1.elapsed();
     let matches = images

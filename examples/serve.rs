@@ -3,7 +3,7 @@
 //! Builds one server over two mini models (ResNet18 + ShuffleNetV2), both
 //! compiled through the process-wide `SharedCompileCache` and fronted by a
 //! depth-bounded submission queue, then drives it the way a traffic
-//! generator would: several submitter threads racing blocking `submit_to`
+//! generator would: several submitter threads racing blocking `submit`
 //! calls, responses collected per request with queue/compute timing, and
 //! the `ServerMetrics` admission/fairness counters printed at the end. A
 //! second server over the *same* ResNet18 is built afterwards to show the
@@ -28,13 +28,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let t0 = Instant::now();
     let server = RaellaServer::builder()
-        .model(&resnet.graph, &cfg) // model 0, the `submit` default
+        .model(&resnet.graph, &cfg) // model 0
         .model(&shuffle.graph, &cfg) // model 1
         .max_batch(4)
         .latency_budget_ticks(500)
         // Backpressure: at most 16 requests queued server-wide, at most
-        // 12 of them for any one model — `submit`/`submit_to` block for a
-        // slot, `try_submit` fails fast with `CoreError::QueueFull`.
+        // 12 of them for any one model — `Admission::Block` waits for a
+        // slot, `Admission::Fail` fails fast with `CoreError::QueueFull`.
         .queue_depth(16)
         .model_queue_depth(12)
         .build()?;
@@ -65,7 +65,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         } else {
                             (1, shuffle.sample_image(seed))
                         };
-                        let handle = server.submit_to(model, image).expect("model exists");
+                        let handle = server
+                            .submit(model, image, Admission::Block)
+                            .expect("model exists");
                         done.push(handle.wait().expect("request served"));
                     }
                     done

@@ -94,7 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .latency_budget_ticks(100)
         .build()?;
     let t1 = Instant::now();
-    let responses = RaellaServer::wait_all(server.submit_many(images.iter().cloned())?)?;
+    let responses = RaellaServer::wait_all(server.submit_many(0, images.iter().cloned())?)?;
     let elapsed = t1.elapsed().as_secs_f64();
     for (resp, want) in responses.iter().zip(baseline.outputs()) {
         assert_eq!(resp.output(), want, "served response diverged");

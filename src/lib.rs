@@ -50,7 +50,7 @@
 //! bit-identical to per-image execution at any worker count:
 //!
 //! ```
-//! use raella::core::server::RaellaServer;
+//! use raella::core::server::{Admission, RaellaServer};
 //! use raella::core::RaellaConfig;
 //! use raella::nn::graph::Graph;
 //! use raella::nn::synth::SynthLayer;
@@ -65,7 +65,9 @@
 //!
 //! let cfg = RaellaConfig { search_vectors: 2, ..RaellaConfig::default() };
 //! let server = RaellaServer::builder().model(&g, &cfg).build()?;
-//! let response = server.submit(Tensor::zeros(&[2, 6, 6]))?.wait()?;
+//! let response = server
+//!     .submit(0, Tensor::zeros(&[2, 6, 6]), Admission::Block)?
+//!     .wait()?;
 //! assert_eq!(response.output().shape(), &[4]);
 //! server.shutdown(); // drains in-flight requests, joins the workers
 //! # Ok(())
@@ -96,13 +98,13 @@ pub use raella_xbar as xbar;
 pub mod prelude {
     pub use raella_arch::tile::TileSpec;
     pub use raella_core::{
-        block_on, energy_config_ladder, BatchResult, CompileCache, CompiledLayer, CompiledModel,
-        ComponentPrices, CoreError, DeviceLifetime, EnergyBreakdown, EnergyMeter, EnergyProfile,
-        FidelityReport, Gateway, GatewayClient, LayerBreach, LayerEnergy, LocalPool, MeterEvents,
-        MeterGeometry, RaellaConfig, RaellaEngine, RaellaServer, RecalContext, RecalTrigger,
-        RecalibrationAction, RecalibrationPolicy, RequestHandle, Response, RotatePolicy, RunStats,
-        ServerBuilder, ServerMetrics, ShardBatchResult, ShardPlan, ShardedModel,
-        SharedCompileCache, VectorScratch, WearAwarePolicy, WeightEncoding,
+        block_on, energy_config_ladder, Admission, BatchResult, CompileCache, CompiledLayer,
+        CompiledModel, ComponentPrices, CoreError, DeviceLifetime, EnergyBreakdown, EnergyMeter,
+        EnergyProfile, FidelityReport, Gateway, GatewayClient, LayerBreach, LayerEnergy, LocalPool,
+        MeterEvents, MeterGeometry, RaellaConfig, RaellaEngine, RaellaServer, RecalContext,
+        RecalTrigger, RecalibrationAction, RecalibrationPolicy, RequestHandle, Response,
+        RotatePolicy, RunStats, ServerBuilder, ServerMetrics, ShardBatchResult, ShardPlan,
+        ShardedModel, SharedCompileCache, VectorScratch, WearAwarePolicy, WeightEncoding,
     };
     pub use raella_nn::graph::Graph;
     pub use raella_nn::rng::SynthRng;

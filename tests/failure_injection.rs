@@ -4,7 +4,7 @@
 //! corruption.
 
 use raella::core::compiler::CompiledLayer;
-use raella::core::engine::RunStats;
+use raella::core::engine::{run_batch_parallel_at_age, RunStats};
 use raella::core::{CoreError, RaellaConfig};
 use raella::nn::matrix::{Act, InputProfile, MatrixLayer};
 use raella::nn::quant::OutputQuant;
@@ -24,7 +24,7 @@ fn tiny_adc_forces_recovery_but_not_collapse() {
         CompiledLayer::with_slicing(&layer, Slicing::uniform(1, 8), &cfg).expect("compiles");
     let inputs = layer.sample_inputs(3, 1);
     let mut stats = RunStats::default();
-    let out = compiled.run(&inputs, &mut stats, 0);
+    let out = run_batch_parallel_at_age(&compiled, &inputs, &mut stats, 0, 0, 0);
     assert!(stats.spec_failures > 0, "4b ADC must fail speculation");
     let reference = layer.reference_outputs(&inputs);
     let mean = raella::nn::quant::mean_error_nonzero(&reference, &out);
@@ -42,7 +42,7 @@ fn saturating_inputs_stay_in_range() {
     let compiled = CompiledLayer::compile(&layer, &cfg).expect("compiles");
     let inputs = vec![255 as Act; 512 * 2];
     let mut stats = RunStats::default();
-    let out = compiled.run(&inputs, &mut stats, 0);
+    let out = run_batch_parallel_at_age(&compiled, &inputs, &mut stats, 0, 0, 0);
     assert_eq!(out.len(), 8);
     // Outputs are u8 by construction; the engine must simply not panic
     // and the ADC must have been exercised at its rails.
@@ -130,12 +130,12 @@ fn empty_and_mismatched_batches_are_rejected_loudly() {
     let compiled = CompiledLayer::compile(&layer, &cfg).expect("compiles");
     let mut stats = RunStats::default();
     // Empty batch: zero vectors is fine (no outputs).
-    let out = compiled.run(&[], &mut stats, 0);
+    let out = run_batch_parallel_at_age(&compiled, &[], &mut stats, 0, 0, 0);
     assert!(out.is_empty());
     // Mismatched batch: must panic with a clear message, not corrupt.
     let result = std::panic::catch_unwind(move || {
         let mut stats = RunStats::default();
-        compiled.run(&[1, 2, 3], &mut stats, 0)
+        run_batch_parallel_at_age(&compiled, &[1, 2, 3], &mut stats, 0, 0, 0)
     });
     assert!(result.is_err(), "length mismatch must be rejected");
 }

@@ -4,11 +4,9 @@
 //! `benches/` (run with `cargo bench`, or a single one with
 //! `cargo bench --bench fig12_efficiency_throughput`). The experiment
 //! benches are `harness = false` binaries that recompute the paper's
-//! rows/series from this repository's models and print them; `kernels` is
-//! a conventional criterion micro-benchmark of the simulator itself.
-//!
-//! `EXPERIMENTS.md` at the repository root records paper-vs-measured for
-//! each target.
+//! rows/series from this repository's models and print them beside what
+//! the paper reports. `gate` is the simulator's own perf gate: it times the
+//! engine, model, server and shard paths and asserts each bound.
 
 /// Prints a report header with the paper reference.
 pub fn header(experiment: &str, paper_says: &str) {

@@ -167,7 +167,8 @@ pub enum RecalibrationAction {
 
 /// Decides what a recalibration does. Implementations must be cheap and
 /// deterministic — the decision runs inside the serving path's
-/// recalibration guard (the swap pause the drift bench meters), and
+/// recalibration guard (the swap pause
+/// [`crate::ServerMetrics::recalibration_pause_ticks`] meters), and
 /// serving results must stay reproducible.
 pub trait RecalibrationPolicy: Send + Sync + fmt::Debug {
     /// Maps the observed degradation to the action to take. Returning

@@ -204,8 +204,10 @@ fn hot_model_cannot_starve_trickle_model() {
     // (the cursor visits the trickle lane in between) = 2 × max_batch —
     // asserted with one batch of snapshot slack. Rejection accounting is
     // exact: the `rejected` metric equals the QueueFull errors the hot
-    // submitter observed.
+    // submitter observed, and every attempt either completes or is
+    // rejected.
     const MAX_BATCH: usize = 2;
+    const TRICKLE_ROUNDS: u64 = 5;
     let server = Arc::new(
         RaellaServer::builder()
             .model(&long_graph(), &cfg()) // model 0: hot
@@ -237,7 +239,9 @@ fn hot_model_cannot_starve_trickle_model() {
         let saturator = scope.spawn(|| {
             let mut handles = Vec::new();
             let mut rejections = 0u64;
+            let mut attempts = 0u64;
             while !stop.load(Ordering::SeqCst) {
+                attempts += 1;
                 match server.submit(0, hot_image.clone(), Admission::Fail) {
                     Ok(handle) => handles.push(handle),
                     Err(CoreError::QueueFull { .. }) => {
@@ -249,7 +253,7 @@ fn hot_model_cannot_starve_trickle_model() {
                     Err(other) => panic!("unexpected admission error: {other}"),
                 }
             }
-            (handles, rejections)
+            (handles, rejections, attempts)
         });
 
         // Only start trickling once the hot lane has demonstrably filled,
@@ -259,7 +263,7 @@ fn hot_model_cannot_starve_trickle_model() {
         }
 
         let stop_saturator = StopOnDrop(&stop);
-        for round in 0..5 {
+        for round in 0..TRICKLE_ROUNDS {
             let handle = server
                 .submit(1, trickle_image.clone(), Admission::Block)
                 .expect("trickle blocking submit admits");
@@ -289,7 +293,7 @@ fn hot_model_cannot_starve_trickle_model() {
         }
 
         drop(stop_saturator);
-        let (hot_handles, rejections) = saturator.join().expect("saturator survives");
+        let (hot_handles, rejections, hot_attempts) = saturator.join().expect("saturator survives");
         assert!(rejections > 0, "the hot lane must actually have overflowed");
         assert_eq!(
             server.metrics().rejected(),
@@ -299,10 +303,23 @@ fn hot_model_cannot_starve_trickle_model() {
         // Shutdown drains every accepted hot request; all of them carry
         // the same (deterministic) bytes.
         server.shutdown();
+        let hot_completed = hot_handles.len() as u64;
         for (i, handle) in hot_handles.into_iter().enumerate() {
             let resp = handle.wait().expect("accepted hot request drains");
             assert_eq!(resp.output(), &hot_want, "hot request {i} bytes");
         }
+        // Overload accounting balances: every hot attempt completed or
+        // was rejected, and the server admitted exactly what completed.
+        assert_eq!(
+            hot_completed + rejections,
+            hot_attempts,
+            "every hot attempt completes or is rejected"
+        );
+        assert_eq!(
+            server.metrics().accepted(),
+            hot_completed + TRICKLE_ROUNDS,
+            "accepted metric must match the completed hot and trickle requests"
+        );
     });
 }
 

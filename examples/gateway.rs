@@ -5,15 +5,15 @@
 //! 10k requests — the whole level up front, regardless of completions
 //! (open loop) — from a single-threaded client pumping 50 nonblocking
 //! connections. Every response is asserted bit-identical to
-//! submission-order `run_batch` before it counts, and the completed
-//! req/s plus p50/p99 end-to-end latency per level are merged into
-//! `BENCH_serve.json` under the `"gateway"` key (the record
-//! `ci/bench_gate.sh gateway` validates).
+//! submission-order `run_batch` before it counts, and each level prints
+//! its completed req/s plus p50/p99 end-to-end latency. A level that has
+//! not fully completed within `LEVEL_DEADLINE` (15 s) fails the run, on
+//! any core count.
 //!
 //! The model is deliberately microscopic: this example measures request
 //! *delivery* at depth — wire framing, waker-based completion fan-in,
-//! IO-thread multiplexing — not crossbar math (`serve_throughput` owns
-//! that baseline).
+//! IO-thread multiplexing — not crossbar math (servebench's
+//! `gateway_tiny` workload measures the same stack under Poisson load).
 //!
 //! ```sh
 //! cargo run --release --example gateway
@@ -31,8 +31,9 @@ use raella::prelude::*;
 const LEVELS: [usize; 3] = [1_000, 5_000, 10_000];
 const CONNECTIONS: usize = 50;
 const IMAGES: usize = 3;
-/// Hard per-level deadline — a wedged pump fails loudly, not silently.
-const LEVEL_DEADLINE: Duration = Duration::from_secs(180);
+/// Hard per-level deadline: a wedged pump or a delivery regression fails
+/// loudly, not silently.
+const LEVEL_DEADLINE: Duration = Duration::from_secs(15);
 
 fn tiny_graph() -> Graph {
     let mut g = Graph::new();
@@ -65,8 +66,6 @@ struct LoadConn {
 }
 
 struct LevelRecord {
-    in_flight: usize,
-    completed: usize,
     requests_per_sec: f64,
     p50_us: u64,
     p99_us: u64,
@@ -179,45 +178,10 @@ fn run_level(
 
     latency_us.sort_unstable();
     LevelRecord {
-        in_flight: level,
-        completed,
         requests_per_sec: completed as f64 / elapsed,
         p50_us: percentile(&latency_us, 50.0),
         p99_us: percentile(&latency_us, 99.0),
     }
-}
-
-/// Splices the `"gateway"` record into `BENCH_serve.json`, preserving
-/// whatever `serve_throughput` last recorded (and vice versa — the bench
-/// preserves this line when it rewrites the file).
-fn merge_gateway_record(record: &str) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_serve.json");
-    let base = std::fs::read_to_string(path)
-        .unwrap_or_else(|_| "{\n  \"bench\": \"serve_throughput\"\n}\n".to_string());
-    let mut lines: Vec<String> = base
-        .lines()
-        .filter(|l| !l.trim_start().starts_with("\"gateway\":"))
-        .map(String::from)
-        .collect();
-    while lines.last().is_some_and(|l| l.trim().is_empty()) {
-        lines.pop();
-    }
-    assert_eq!(
-        lines.last().map(|l| l.trim()),
-        Some("}"),
-        "BENCH_serve.json must end with a closing brace"
-    );
-    lines.pop();
-    if let Some(last) = lines.last_mut() {
-        let trimmed = last.trim_end().to_string();
-        if !trimmed.ends_with(',') && !trimmed.ends_with('{') {
-            *last = format!("{trimmed},");
-        }
-    }
-    lines.push(format!("  \"gateway\": {record}"));
-    lines.push("}".to_string());
-    std::fs::write(path, lines.join("\n") + "\n").expect("write BENCH_serve.json");
-    println!("gateway record merged into BENCH_serve.json");
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -249,14 +213,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let expect = server.model(0).run_batch(&images)?;
     let expect = expect.outputs();
 
-    let mut records = Vec::new();
     for level in LEVELS {
         let record = run_level(gateway.local_addr(), level, &images, expect);
         println!(
-            "{:>6} in flight over {CONNECTIONS} connections: {:>9.1} req/s, latency p50 {} µs p99 {} µs",
-            record.in_flight, record.requests_per_sec, record.p50_us, record.p99_us
+            "{level:>6} in flight over {CONNECTIONS} connections: {:>9.1} req/s, latency p50 {} µs p99 {} µs",
+            record.requests_per_sec, record.p50_us, record.p99_us
         );
-        records.push(record);
     }
 
     let metrics = server.metrics();
@@ -272,20 +234,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         metrics.accepted(),
         metrics.queue_depth_high_water()
     );
-
-    let levels_json: Vec<String> = records
-        .iter()
-        .map(|r| {
-            format!(
-                "{{ \"in_flight\": {}, \"completed\": {}, \"requests_per_sec\": {:.1}, \"latency_us\": {{ \"p50\": {}, \"p99\": {} }} }}",
-                r.in_flight, r.completed, r.requests_per_sec, r.p50_us, r.p99_us
-            )
-        })
-        .collect();
-    merge_gateway_record(&format!(
-        "{{ \"io_threads\": 2, \"connections\": {CONNECTIONS}, \"levels\": [ {} ] }}",
-        levels_json.join(", ")
-    ));
 
     gateway.shutdown();
     server.shutdown();

@@ -34,7 +34,7 @@ use raella_arch::tile::TileSpec;
 use raella_core::engine::{run_batch_at_age, run_batch_parallel_at_age, RunStats};
 use raella_core::model::CompiledModel;
 use raella_core::server::{Admission, RaellaServer, ServerMetrics, TICK};
-use raella_core::shard::ShardedModel;
+use raella_core::shard::ShardPlan;
 use raella_core::{CompiledLayer, DeviceLifetime, RaellaConfig, SharedCompileCache};
 use raella_nn::graph::{Graph, ValueArena};
 use raella_nn::models::mini::mini_resnet18;
@@ -243,19 +243,17 @@ fn shard_floor() {
             Tensor::from_vec(data, &[64, 8, 8]).expect("consistent image")
         })
         .collect();
-    let mut model = CompiledModel::compile(&graph, &cfg).expect("compiles");
+    let model = CompiledModel::compile(&graph, &cfg).expect("compiles");
     let mut secs = Vec::new();
     for tiles in [1, 2, 4] {
-        let sharded =
-            ShardedModel::new(model, tiles, TileSpec::new(TILE_ROWS, 256)).expect("plan fits");
+        let plan =
+            ShardPlan::place(&model, tiles, TileSpec::new(TILE_ROWS, 256)).expect("plan fits");
         secs.push(best_secs(3, || {
             black_box(
-                sharded
-                    .run_batch_threaded(&images, 1)
+                plan.run_batch_threaded(&model, &images, 1)
                     .expect("sharded runs"),
             );
         }));
-        model = sharded.into_model();
     }
     let worst = secs[1..]
         .iter()

@@ -545,25 +545,19 @@ fn layer_key_with_cfg(layer: &MatrixLayer, cfg_fp: u64) -> String {
     )
 }
 
-/// A compilation cache: each distinct (layer identity, configuration) pair
-/// compiles exactly once; later requests share the same
-/// [`Arc<CompiledLayer>`].
-///
-/// Whole-model compilation ([`crate::model::CompiledModel`]) and the
-/// layer-streaming [`crate::engine::RaellaEngine`] both sit on this, so a
-/// layer reused across a network — or a model recompiled under the same
-/// configuration — never pays the Algorithm 1 search twice.
+/// The state behind a [`SharedCompileCache`]: compiled layers by key,
+/// hit/miss counters, and memoized configuration fingerprints.
 #[derive(Debug, Default)]
-pub struct CompileCache {
+struct CacheState {
     entries: HashMap<String, Arc<CompiledLayer>>,
     hits: u64,
     misses: u64,
-    /// Memoized configuration fingerprints: lookups on the per-image hot
-    /// path (the streaming engines) keep passing the same few
-    /// configurations, so each is equality-checked, not re-formatted, per
-    /// call. A shared cache may serve engines with *different* configs
-    /// interleaved, hence a small scan list rather than a single slot
-    /// (bounded so a config sweep can't grow it without limit).
+    /// Memoized configuration fingerprints: the layer-streaming
+    /// [`crate::engine::RaellaEngine`] looks its layers up on every image
+    /// with the same few configurations, so each is equality-checked, not
+    /// re-formatted, per lookup. A shared cache may serve different
+    /// configs interleaved, hence a small scan list rather than a single
+    /// slot (bounded so a config sweep can't grow it without limit).
     cfg_fps: Vec<(RaellaConfig, u64)>,
 }
 
@@ -571,12 +565,7 @@ pub struct CompileCache {
 /// hold a handful of configurations; sweeps evict oldest-first).
 const MAX_CFG_FPS: usize = 16;
 
-impl CompileCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        CompileCache::default()
-    }
-
+impl CacheState {
     /// The fingerprint of `cfg`, memoized for the common few-configs case.
     fn config_fingerprint(&mut self, cfg: &RaellaConfig) -> u64 {
         if let Some((_, fp)) = self.cfg_fps.iter().find(|(cached, _)| cached == cfg) {
@@ -589,57 +578,18 @@ impl CompileCache {
         self.cfg_fps.push((cfg.clone(), fp));
         fp
     }
-
-    /// Returns the compiled form of `layer` under `cfg`, compiling on the
-    /// first request and sharing the cached result afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CompiledLayer::compile`] errors (the failed key is not
-    /// cached, so a later request retries).
-    pub fn get_or_compile(
-        &mut self,
-        layer: &MatrixLayer,
-        cfg: &RaellaConfig,
-    ) -> Result<Arc<CompiledLayer>, CoreError> {
-        let key = layer_key_with_cfg(layer, self.config_fingerprint(cfg));
-        if let Some(hit) = self.entries.get(&key) {
-            self.hits += 1;
-            return Ok(Arc::clone(hit));
-        }
-        let compiled = Arc::new(CompiledLayer::compile(layer, cfg)?);
-        self.misses += 1;
-        self.entries.insert(key, Arc::clone(&compiled));
-        Ok(compiled)
-    }
-
-    /// Number of distinct compiled layers held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache holds no compiled layers.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Number of requests served from the cache (no compilation).
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of requests that ran a compilation (cache misses).
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
 }
 
-/// A thread-safe, shareable [`CompileCache`] handle.
+/// A thread-safe, shareable compilation cache: each distinct (layer
+/// identity, configuration) pair compiles exactly once; later requests
+/// share the same [`Arc<CompiledLayer>`].
 ///
 /// Cloning shares the underlying cache (`Arc<Mutex<_>>`), so every
 /// [`crate::model::CompiledModel`] / [`crate::engine::RaellaEngine`] /
 /// [`crate::server::RaellaServer`] built on the same handle deduplicates
-/// compiles — including across *different* models that share layers.
+/// compiles: a layer reused across a network, a model recompiled under
+/// the same configuration, and layers shared by *different* models never
+/// pay the Algorithm 1 search twice.
 /// [`SharedCompileCache::global`] returns the process-wide instance that
 /// [`crate::model::CompiledModel::compile`] uses by default.
 ///
@@ -666,7 +616,7 @@ impl CompileCache {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SharedCompileCache {
-    inner: Arc<Mutex<CompileCache>>,
+    inner: Arc<Mutex<CacheState>>,
 }
 
 /// The process-wide compile cache singleton.
@@ -679,15 +629,15 @@ impl SharedCompileCache {
     }
 
     /// The process-wide cache: every call returns a handle to the same
-    /// underlying [`CompileCache`], so all default-compiled models in the
-    /// process dedupe shared layers. Entries are keyed on layer identity
-    /// *and* configuration fingerprint, so distinct configurations never
+    /// underlying cache, so all default-compiled models in the process
+    /// dedupe shared layers. Entries are keyed on layer identity *and*
+    /// configuration fingerprint, so distinct configurations never
     /// collide; entries are never evicted.
     pub fn global() -> SharedCompileCache {
         GLOBAL_CACHE.get_or_init(SharedCompileCache::new).clone()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, CompileCache> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, CacheState> {
         // A panic mid-compile leaves no partial entry (insertion happens
         // after a successful compile), so a poisoned lock is recoverable.
         self.inner
@@ -707,27 +657,37 @@ impl SharedCompileCache {
         layer: &MatrixLayer,
         cfg: &RaellaConfig,
     ) -> Result<Arc<CompiledLayer>, CoreError> {
-        self.lock().get_or_compile(layer, cfg)
+        let mut state = self.lock();
+        let key = layer_key_with_cfg(layer, state.config_fingerprint(cfg));
+        if let Some(hit) = state.entries.get(&key) {
+            let hit = Arc::clone(hit);
+            state.hits += 1;
+            return Ok(hit);
+        }
+        let compiled = Arc::new(CompiledLayer::compile(layer, cfg)?);
+        state.misses += 1;
+        state.entries.insert(key, Arc::clone(&compiled));
+        Ok(compiled)
     }
 
     /// Number of distinct compiled layers held.
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.lock().entries.len()
     }
 
     /// Whether the cache holds no compiled layers.
     pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
+        self.lock().entries.is_empty()
     }
 
     /// Number of requests served from the cache (no compilation).
     pub fn hits(&self) -> u64 {
-        self.lock().hits()
+        self.lock().hits
     }
 
     /// Number of requests that ran a compilation (cache misses).
     pub fn misses(&self) -> u64 {
-        self.lock().misses()
+        self.lock().misses
     }
 }
 
@@ -879,7 +839,7 @@ mod tests {
     fn compile_cache_compiles_each_identity_once() {
         let layer = SynthLayer::conv(4, 3, 3, 9).build();
         let cfg = small_cfg();
-        let mut cache = CompileCache::new();
+        let cache = SharedCompileCache::new();
         let a = cache.get_or_compile(&layer, &cfg).unwrap();
         let b = cache.get_or_compile(&layer, &cfg).unwrap();
         assert_eq!(cache.len(), 1);
@@ -893,7 +853,7 @@ mod tests {
         let l1 = SynthLayer::conv(4, 3, 3, 9).name("same").build();
         let l2 = SynthLayer::conv(4, 3, 3, 10).name("same").build();
         let cfg = small_cfg();
-        let mut cache = CompileCache::new();
+        let cache = SharedCompileCache::new();
         cache.get_or_compile(&l1, &cfg).unwrap();
         cache.get_or_compile(&l2, &cfg).unwrap();
         assert_eq!(cache.len(), 2);
@@ -916,7 +876,7 @@ mod tests {
         quant.scales[0] *= 2.0;
         recal.set_quant(quant).expect("filter count unchanged");
         let cfg = small_cfg();
-        let mut cache = CompileCache::new();
+        let cache = SharedCompileCache::new();
         let a = cache.get_or_compile(&base, &cfg).unwrap();
         let b = cache.get_or_compile(&recal, &cfg).unwrap();
         assert_eq!(cache.len(), 2, "calibration state must split entries");

@@ -13,8 +13,8 @@
 //!   saturation, 1b recovery cycles converting only failed columns.
 //! * [`compiler`] — the preprocessing pipeline (Algorithm 1's
 //!   `SliceEncodeWeights`): slicing search → center solve → programmed
-//!   crossbar columns — plus the [`compiler::CompileCache`] that
-//!   deduplicates compiles across a whole model.
+//!   crossbar columns — plus the [`compiler::SharedCompileCache`] that
+//!   deduplicates compiles across a whole model and across models.
 //! * [`model`] — whole-model compilation: [`model::CompiledModel`] compiles
 //!   a graph's layers once and streams image batches across workers with
 //!   bit-exact, batch-composition-independent results.
@@ -45,9 +45,10 @@
 //!   IO threads via waker-based completion delivery.
 //! * [`shard`] — tile-sharded execution: a [`shard::ShardPlan`] places
 //!   layers (and row-group splits of long layers) across simulated
-//!   accelerator tiles; partial sums merge by exact accumulator
-//!   reduction, so any placement is bit-identical to the monolithic
-//!   engine, with per-tile [`RunStats`] attribution.
+//!   accelerator tiles and runs a model under that placement
+//!   ([`shard::ShardPlan::run_batch`]); partial sums merge by exact
+//!   accumulator reduction, so any placement is bit-identical to the
+//!   monolithic engine, with per-tile [`RunStats`] attribution.
 //! * [`probe`] — column-sum distribution probes behind Figs. 3 and 5.
 //! * [`accuracy`] — fidelity reports (the paper's §4.2.1 error metric) and
 //!   proxy-accuracy measurement.
@@ -99,7 +100,7 @@ pub mod server;
 pub mod shard;
 
 pub use accuracy::FidelityReport;
-pub use compiler::{CompileCache, CompiledLayer, SharedCompileCache};
+pub use compiler::{CompiledLayer, SharedCompileCache};
 pub use config::{RaellaConfig, WeightEncoding};
 pub use energy::{EnergyProfile, LayerEnergy};
 pub use engine::{RaellaEngine, RunStats};
@@ -118,4 +119,4 @@ pub use server::{
     energy_config_ladder, Admission, RaellaServer, RequestHandle, Response, ServerBuilder,
     ServerMetrics,
 };
-pub use shard::{ShardBatchResult, ShardPlan, ShardedModel};
+pub use shard::ShardPlan;

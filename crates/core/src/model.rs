@@ -3,7 +3,7 @@
 //! [`CompiledModel`] is the compile-once / run-batch split simulator stacks
 //! converge on: every `Conv`/`Linear` layer of a [`Graph`] goes through
 //! Algorithm 1 exactly once up front (deduplicated by a
-//! [`CompileCache`](crate::compiler::CompileCache)),
+//! [`SharedCompileCache`]),
 //! and then images stream through [`CompiledModel::run_batch`], which fans
 //! whole images across `std::thread::scope` workers. Per-vector work runs
 //! the cache-blocked panel kernel
@@ -42,22 +42,45 @@ use crate::error::CoreError;
 use crate::parallel::worker_count_for;
 use crate::shard::{run_batch_placed, run_image_placed};
 
-/// Outputs and merged statistics of one [`CompiledModel::run_batch`] call.
+/// Outputs and statistics of one batch run — [`CompiledModel::run_batch`]
+/// or, under a tile placement, [`crate::shard::ShardPlan::run_batch`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchResult {
     outputs: Vec<Tensor<u8>>,
     stats: RunStats,
+    tile_stats: Vec<RunStats>,
 }
 
 impl BatchResult {
+    /// Assembles a result from the outputs and per-tile buckets; the
+    /// merged statistics are the buckets' exact merge.
+    pub(crate) fn from_tiles(outputs: Vec<Tensor<u8>>, tile_stats: Vec<RunStats>) -> Self {
+        let mut stats = RunStats::default();
+        for bucket in &tile_stats {
+            stats.merge(bucket);
+        }
+        BatchResult {
+            outputs,
+            stats,
+            tile_stats,
+        }
+    }
+
     /// One output tensor per input image, in input order.
     pub fn outputs(&self) -> &[Tensor<u8>] {
         &self.outputs
     }
 
-    /// Statistics merged across all images of the batch.
+    /// Statistics merged across all images of the batch (and all tiles).
     pub fn stats(&self) -> &RunStats {
         &self.stats
+    }
+
+    /// Per-tile statistics (index = tile), merged across the batch. An
+    /// unplaced [`CompiledModel`] run reports one bucket; the buckets
+    /// always merge to [`BatchResult::stats`].
+    pub fn tile_stats(&self) -> &[RunStats] {
+        &self.tile_stats
     }
 
     /// Number of images in the batch.
@@ -127,7 +150,6 @@ pub struct CompiledModel {
     layers: Vec<Arc<CompiledLayer>>,
     cfg: RaellaConfig,
     noise_seed: u64,
-    unique_layers: usize,
 }
 
 impl CompiledModel {
@@ -160,37 +182,17 @@ impl CompiledModel {
         cfg: &RaellaConfig,
         cache: &SharedCompileCache,
     ) -> Result<Self, CoreError> {
-        Self::compile_owned(graph.clone(), cfg, cache)
-    }
-
-    /// Compilation taking graph ownership — the build path for callers
-    /// that already hold a graph by value (the server builder), avoiding
-    /// a second whole-graph clone.
-    pub(crate) fn compile_owned(
-        graph: Graph,
-        cfg: &RaellaConfig,
-        cache: &SharedCompileCache,
-    ) -> Result<Self, CoreError> {
         cfg.validate()?;
         let plan = graph.plan()?;
         let mut layers: Vec<Arc<CompiledLayer>> = Vec::new();
         for layer in graph.matrix_layers() {
             layers.push(cache.get_or_compile(layer, cfg)?);
         }
-        // Distinct compiles *within this model* (the cache handle may hold
-        // arbitrarily many other models' layers).
-        let unique_layers = {
-            let mut seen: Vec<*const CompiledLayer> = layers.iter().map(Arc::as_ptr).collect();
-            seen.sort_unstable();
-            seen.dedup();
-            seen.len()
-        };
         Ok(CompiledModel {
-            graph,
+            graph: graph.clone(),
             plan,
             layers,
             noise_seed: noise_seed_for(cfg),
-            unique_layers,
             cfg: cfg.clone(),
         })
     }
@@ -210,9 +212,14 @@ impl CompiledModel {
         self.layers.len()
     }
 
-    /// Distinct compiled layers (after cache deduplication).
+    /// Distinct compiled layers (after cache deduplication) — counted
+    /// within this model, whatever else the cache holds, and recounted
+    /// after a reprogram splits a shared layer.
     pub fn unique_layer_count(&self) -> usize {
-        self.unique_layers
+        let mut seen: Vec<*const CompiledLayer> = self.layers.iter().map(Arc::as_ptr).collect();
+        seen.sort_unstable();
+        seen.dedup();
+        seen.len()
     }
 
     /// The compiled matrix layers in execution order — the model's view of
@@ -303,11 +310,7 @@ impl CompiledModel {
         images: &[Tensor<u8>],
         threads: usize,
     ) -> Result<BatchResult, CoreError> {
-        let (outputs, tiles) = run_batch_placed(self, None, images, threads)?;
-        Ok(BatchResult {
-            outputs,
-            stats: tiles[0],
-        })
+        run_batch_placed(self, None, images, threads)
     }
 
     /// Top-1 predictions for a batch of images — a thin argmax over
@@ -403,41 +406,22 @@ impl CompiledModel {
 
     /// Re-programs every matrix layer at `generation`: fresh
     /// programming-error draws from pristine weights, same slicings, same
-    /// noise-stream seed (see [`CompiledLayer::reprogram`]). Layer sharing
-    /// is preserved — a layer compiled once and used twice is re-programmed
-    /// once. This is the server's recalibration primitive: swapping the
-    /// result in for the old model restores programming fidelity, and
-    /// resetting the age counter restarts relaxation.
+    /// noise-stream seed (see [`CompiledLayer::reprogram`]) —
+    /// [`CompiledModel::reprogram_to`] with every target at `generation`.
+    /// Layer sharing is preserved — a layer compiled once and used twice
+    /// is re-programmed once. This is the server's recalibration
+    /// primitive: swapping the result in for the old model restores
+    /// programming fidelity, and resetting the age counter restarts
+    /// relaxation.
     ///
     /// # Errors
     ///
     /// Propagates per-layer compile errors (cannot happen for models built
     /// through [`CompiledModel::compile`]).
     pub fn reprogram(&self, generation: u64) -> Result<Self, CoreError> {
-        let mut cfg = self.cfg.clone();
-        cfg.lifetime.generation = generation;
-        let mut remapped: Vec<(*const CompiledLayer, Arc<CompiledLayer>)> = Vec::new();
-        let mut layers = Vec::with_capacity(self.layers.len());
-        for (mat, old) in self.graph.matrix_layers().into_iter().zip(&self.layers) {
-            let ptr = Arc::as_ptr(old);
-            let fresh = match remapped.iter().find(|(p, _)| *p == ptr) {
-                Some((_, a)) => Arc::clone(a),
-                None => {
-                    let built = Arc::new(old.reprogram(mat, generation)?);
-                    remapped.push((ptr, Arc::clone(&built)));
-                    built
-                }
-            };
-            layers.push(fresh);
-        }
-        Ok(CompiledModel {
-            graph: self.graph.clone(),
-            plan: self.graph.plan()?,
-            layers,
-            noise_seed: self.noise_seed,
-            unique_layers: self.unique_layers,
-            cfg,
-        })
+        let mut fresh = self.reprogram_to(&vec![generation; self.layers.len()])?;
+        fresh.cfg.lifetime.generation = generation;
+        Ok(fresh)
     }
 
     /// Re-programs only the matrix layers named in `layers` (indices into
@@ -548,7 +532,6 @@ impl CompiledModel {
             plan: self.graph.plan()?,
             layers,
             noise_seed: self.noise_seed,
-            unique_layers: self.unique_layers,
             cfg,
         })
     }
@@ -670,6 +653,14 @@ mod tests {
 
         let re = model.reprogram(1).unwrap();
         assert_eq!(re.unique_layer_count(), 1);
+        // A partial reprogram splits the shared layer into two arrays.
+        assert_eq!(
+            model
+                .reprogram_layers(1, &[0])
+                .unwrap()
+                .unique_layer_count(),
+            2
+        );
         assert!(Arc::ptr_eq(&re.layers[0], &re.layers[1]));
         assert_eq!(re.config().lifetime.generation, 1);
         // Same generation reproduces the exact same array and outputs.

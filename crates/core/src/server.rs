@@ -160,7 +160,7 @@ use crate::parallel::worker_count_for;
 use crate::policy::{
     LayerBreach, RecalContext, RecalTrigger, RecalibrationAction, RecalibrationPolicy, RotatePolicy,
 };
-use crate::shard::ShardPlan;
+use crate::shard::{run_image_placed, ShardPlan};
 
 /// One scheduler tick — the granularity of the coalescing latency budget.
 pub const TICK: Duration = Duration::from_micros(1);
@@ -424,54 +424,47 @@ impl ServerBuilder {
             budgets[*model] = Some(*budget);
         }
         let mut models = Vec::with_capacity(self.models.len());
-        // Moves each builder-owned graph into its CompiledModel — no
-        // second whole-graph clone on the build path.
         let mut tile_totals = Vec::with_capacity(self.models.len());
         for ((graph, cfg), budget) in self.models.into_iter().zip(budgets) {
-            // Slicing variants compile first (they clone the graph);
-            // the base compile below then consumes it.
-            let mut alts = Vec::new();
-            if budget.is_some() {
-                for alt_cfg in energy_config_ladder(&cfg).into_iter().skip(1) {
-                    let alt = CompiledModel::compile_with_cache(&graph, &alt_cfg, &cache)?;
-                    let plan = if self.shards > 0 {
-                        Some(Arc::new(ShardPlan::place(&alt, self.shards, tile)?))
-                    } else {
-                        None
-                    };
-                    alts.push(Variant {
-                        est_pj_per_vector: alt.estimated_vector_pj(),
-                        model: Arc::new(alt),
-                        plan,
-                    });
-                }
-            }
-            let model = CompiledModel::compile_owned(graph, &cfg, &cache)?;
-            let plan = if self.shards > 0 {
-                Some(ShardPlan::place(&model, self.shards, tile)?)
-            } else {
-                None
+            // One variant per ladder entry; without a budget the ladder is
+            // just the base config.
+            let ladder = match budget {
+                Some(_) => energy_config_ladder(&cfg),
+                None => vec![cfg],
             };
+            let mut variants = Vec::with_capacity(ladder.len());
+            for cfg in &ladder {
+                let model = CompiledModel::compile_with_cache(&graph, cfg, &cache)?;
+                let plan = match self.shards {
+                    0 => None,
+                    n => Some(Arc::new(ShardPlan::place(&model, n, tile)?)),
+                };
+                variants.push(Variant {
+                    est_pj_per_vector: model.estimated_vector_pj(),
+                    model: Arc::new(model),
+                    plan,
+                });
+            }
+            let base = &variants[0];
             // Recalibration only remaps tiles (a shrink keeps dead tiles
             // addressable), never changes the tile count, so sizing the
             // lifetime buckets once is safe.
             tile_totals.push(vec![
                 RunStats::default();
-                plan.as_ref().map_or(0, ShardPlan::tiles)
+                base.plan.as_deref().map_or(0, ShardPlan::tiles)
             ]);
             // Wear counters start at the build-time programming: placing
             // the base model onto the array writes each tile's resident
             // cells once.
-            let tile_writes = plan
-                .as_ref()
-                .map_or_else(Vec::new, |p| p.tile_cells(&model));
+            let tile_writes = base
+                .plan
+                .as_deref()
+                .map_or_else(Vec::new, |p| p.tile_cells(&base.model));
             models.push(ServedModel {
                 live: RwLock::new(LiveModel {
-                    generation: model.config().lifetime.generation,
-                    layer_gens: Arc::new(model.layer_generations()),
-                    model: Arc::new(model),
-                    plan: plan.map(Arc::new),
-                    alts,
+                    generation: base.model.config().lifetime.generation,
+                    layer_gens: Arc::new(base.model.layer_generations()),
+                    variants,
                     budget_pj: budget,
                 }),
                 recalibrating: AtomicBool::new(false),
@@ -1119,14 +1112,9 @@ impl QueueState {
     }
 }
 
-/// The swappable part of a served model: the compiled snapshot, its tile
-/// placement, and the programming generation both were built for.
-/// Recalibration replaces the whole struct atomically under the write
-/// lock; workers clone the `Arc`s once per batch under the read lock, so
-/// a swap never touches a batch already executing.
-/// One precompiled slicing variant of a served model (an
-/// [`energy_config_ladder`] entry past the base), plus its admission-time
-/// ranking estimate.
+/// One compiled variant of a served model — an [`energy_config_ladder`]
+/// entry — with its tile placement and its admission-time ranking
+/// estimate.
 #[derive(Debug, Clone)]
 struct Variant {
     model: Arc<CompiledModel>,
@@ -1136,33 +1124,74 @@ struct Variant {
     est_pj_per_vector: f64,
 }
 
+impl Variant {
+    /// This variant after a validated recalibration `action` at
+    /// `generation`: the model reprogrammed (only the named layers for a
+    /// targeted refresh) and, when placed, the plan remapped or shrunk
+    /// onto the fresh model. Otherwise the placement carries over — the
+    /// plan's fingerprint is structural, so the existing `Arc` still
+    /// matches.
+    fn recalibrated(
+        &self,
+        generation: u64,
+        action: &RecalibrationAction,
+    ) -> Result<Variant, CoreError> {
+        let model = match action {
+            RecalibrationAction::ReprogramLayers { layers } => {
+                self.model.reprogram_layers(generation, layers)?
+            }
+            _ => self.model.reprogram(generation)?,
+        };
+        let plan = match (self.plan.as_deref(), action) {
+            (Some(p), RecalibrationAction::ReprogramAll { map: Some(m) }) => {
+                Some(Arc::new(p.remap_tiles(&model, m, p.tiles())?))
+            }
+            (Some(p), RecalibrationAction::Shrink { survivors }) => {
+                Some(Arc::new(p.shrink_onto(&model, survivors)?))
+            }
+            _ => self.plan.clone(),
+        };
+        Ok(Variant {
+            model: Arc::new(model),
+            plan,
+            est_pj_per_vector: self.est_pj_per_vector,
+        })
+    }
+}
+
+/// The swappable part of a served model: every compiled variant with its
+/// tile placement, and the programming generation they were built for.
+/// Recalibration replaces the whole struct atomically under the write
+/// lock; workers clone the `Arc`s once per batch under the read lock, so
+/// a swap never touches a batch already executing.
 #[derive(Debug, Clone)]
 struct LiveModel {
-    model: Arc<CompiledModel>,
-    plan: Option<Arc<ShardPlan>>,
+    /// Variants by [`energy_config_ladder`] index: 0 is the base config,
+    /// `1..` the slicing variants (present only when
+    /// [`ServerBuilder::energy_budget_pj`] registered a budget).
+    variants: Vec<Variant>,
     generation: u64,
-    /// Per-layer programming generations of `model`
+    /// Per-layer programming generations of the base model
     /// ([`CompiledModel::layer_generations`]), shared into every
     /// [`Response`] — all equal to `generation` after full reprograms,
-    /// mixed after targeted ones.
+    /// mixed after targeted ones. Every variant is reprogrammed alike.
     layer_gens: Arc<Vec<u64>>,
-    /// Slicing variants for admission-time selection (ladder indices
-    /// `1..`; index 0 is the base `model`/`plan`). Empty unless
-    /// [`ServerBuilder::energy_budget_pj`] registered a budget.
-    alts: Vec<Variant>,
     /// The per-vector energy budget selection works against, if any.
     budget_pj: Option<f64>,
 }
 
 impl LiveModel {
-    /// Resolves a recorded ladder index to its model and plan. An
-    /// out-of-range index (cannot happen through admission — the ladder
-    /// length is fixed for the server's lifetime) degrades to the base.
-    fn variant(&self, config: usize) -> (&Arc<CompiledModel>, Option<&Arc<ShardPlan>>) {
-        match config.checked_sub(1).and_then(|i| self.alts.get(i)) {
-            Some(alt) => (&alt.model, alt.plan.as_ref()),
-            None => (&self.model, self.plan.as_ref()),
-        }
+    /// The base variant (ladder index 0): the model and plan that age,
+    /// wear, and recalibration decisions are read from.
+    fn base(&self) -> &Variant {
+        &self.variants[0]
+    }
+
+    /// Resolves a recorded ladder index to its variant. An out-of-range
+    /// index (cannot happen through admission — the ladder length is
+    /// fixed for the server's lifetime) degrades to the base.
+    fn variant(&self, config: usize) -> &Variant {
+        self.variants.get(config).unwrap_or(self.base())
     }
 }
 
@@ -1285,10 +1314,10 @@ impl Shared {
         let served = &self.models[model];
         let live_model = {
             let live = served.live.read().unwrap_or_else(PoisonError::into_inner);
-            if !live.model.config().lifetime.is_drifting() {
+            if !live.base().model.config().lifetime.is_drifting() {
                 return 0;
             }
-            Arc::clone(&live.model)
+            Arc::clone(&live.base().model)
         };
         let key = image.shape().to_vec();
         let mut counts = served
@@ -1304,25 +1333,31 @@ impl Shared {
         n
     }
 
-    /// Admission-time slicing selection for `model` at device age `age`:
-    /// returns the [`energy_config_ladder`] index whose variant serves
-    /// the request. Candidates (base included) are ranked by their
-    /// geometry estimate ascending; the cheapest whose estimate fits the
-    /// registered budget *and* whose calibration-estimated fidelity at
-    /// `age` holds the config's error budget wins. The base config
-    /// (index 0) is the fallback when nothing qualifies — correctness
-    /// over economy. Memoized per `(generation, drift epoch)`; called
-    /// *before* the queue lock (fidelity sampling is real work).
-    fn select_config(&self, model: usize, age: u64) -> usize {
+    /// Admission-time slicing selection for `model` at its current
+    /// device age: returns the [`energy_config_ladder`] index whose
+    /// variant serves the request. Candidates (base included) are ranked
+    /// by their geometry estimate ascending; the cheapest whose estimate
+    /// fits the registered budget *and* whose calibration-estimated
+    /// fidelity at that age holds the config's error budget wins. The
+    /// base config (index 0) is the fallback when nothing qualifies —
+    /// correctness over economy. Memoized per `(generation, drift
+    /// epoch)`; called *before* the queue lock (fidelity sampling is real
+    /// work), and fast-exits without touching the queue lock when no
+    /// budget is registered (the overwhelmingly common case). The age
+    /// read races concurrent admissions harmlessly: selection is
+    /// epoch-granular, and the chosen index rides in the [`Response`] so
+    /// offline replay is exact either way.
+    fn select_config(&self, model: usize) -> usize {
         let served = &self.models[model];
-        let live = served.snapshot();
-        let Some(budget) = live.budget_pj else {
-            return 0;
+        let (live, budget) = {
+            let live = served.live.read().unwrap_or_else(PoisonError::into_inner);
+            match live.budget_pj {
+                Some(budget) if live.variants.len() > 1 => (live.clone(), budget),
+                _ => return 0,
+            }
         };
-        if live.alts.is_empty() {
-            return 0;
-        }
-        let epoch = live.model.config().lifetime.drift_epoch(age);
+        let age = self.lock().ages[model];
+        let epoch = live.base().model.config().lifetime.drift_epoch(age);
         let key = (live.generation, epoch);
         {
             let cache = served
@@ -1333,27 +1368,23 @@ impl Shared {
                 return selected;
             }
         }
-        let mut candidates: Vec<(usize, f64)> =
-            std::iter::once((0usize, live.model.estimated_vector_pj()))
-                .chain(
-                    live.alts
-                        .iter()
-                        .enumerate()
-                        .map(|(i, alt)| (i + 1, alt.est_pj_per_vector)),
-                )
-                .collect();
+        let mut candidates: Vec<(usize, f64)> = live
+            .variants
+            .iter()
+            .map(|v| v.est_pj_per_vector)
+            .enumerate()
+            .collect();
         candidates.sort_by(|a, b| a.1.total_cmp(&b.1));
-        let mut selected = 0usize;
-        for (idx, est) in candidates {
-            if est > budget {
-                continue;
-            }
-            let (vmodel, _) = live.variant(idx);
-            if variant_fidelity_holds(vmodel, self.watchdog_vectors, age) {
-                selected = idx;
-                break;
-            }
-        }
+        // A sampling error counts as a failed check: the variant is
+        // skipped, never served blind.
+        let selected = candidates
+            .into_iter()
+            .filter(|&(_, est)| est <= budget)
+            .find(|&(idx, _)| {
+                layer_breaches(&live.variants[idx].model, self.watchdog_vectors, age)
+                    .is_ok_and(|breaches| breaches.is_empty())
+            })
+            .map_or(0, |(idx, _)| idx);
         served
             .selection_cache
             .lock()
@@ -1361,56 +1392,51 @@ impl Shared {
             .insert(key, selected);
         selected
     }
-
-    /// [`Shared::select_config`] at the model's current device age.
-    /// Fast-exits without touching the queue lock when no budget is
-    /// registered (the overwhelmingly common case). The age read races
-    /// concurrent admissions harmlessly: selection is epoch-granular,
-    /// and the chosen index rides in the [`Response`] so offline replay
-    /// is exact either way.
-    fn select_config_now(&self, model: usize) -> usize {
-        {
-            let served = &self.models[model];
-            let live = served.live.read().unwrap_or_else(PoisonError::into_inner);
-            if live.budget_pj.is_none() || live.alts.is_empty() {
-                return 0;
-            }
-        }
-        let age = self.lock().ages[model];
-        self.select_config(model, age)
-    }
 }
 
-/// Whether every unique compiled layer of `model` still holds the
-/// config's error budget at device age `age`, per
-/// [`crate::compiler::CompiledLayer::check_fidelity_at_age`] sampling —
-/// the admission-time calibration check behind
-/// [`ServerBuilder::energy_budget_pj`]. A sampling error counts as a
-/// failed check (the variant is skipped, never served blind).
-fn variant_fidelity_holds(model: &CompiledModel, vectors: usize, age: u64) -> bool {
+/// Samples `model`'s fidelity at device age `age` and returns every
+/// layer over the config's error budget — each unique compiled layer
+/// sampled once ([`crate::compiler::CompiledLayer::check_fidelity_at_age`]
+/// over `vectors` test vectors), every index sharing a breaching artifact
+/// reported, so a targeted reprogram covers them all. The fidelity
+/// watchdog feeds the result to the recalibration policy; admission-time
+/// selection ([`ServerBuilder::energy_budget_pj`]) serves a variant only
+/// when it is empty.
+fn layer_breaches(
+    model: &CompiledModel,
+    vectors: usize,
+    age: u64,
+) -> Result<Vec<LayerBreach>, CoreError> {
     let budget = model.config().error_budget;
-    let mut checked: Vec<*const crate::compiler::CompiledLayer> = Vec::new();
-    for (mat, compiled) in model
+    let mut sampled: Vec<(*const crate::compiler::CompiledLayer, Option<f64>)> = Vec::new();
+    let mut breaches = Vec::new();
+    for (i, (mat, compiled)) in model
         .graph()
         .matrix_layers()
         .into_iter()
         .zip(model.compiled_layers())
+        .enumerate()
     {
         let ptr = Arc::as_ptr(compiled);
-        if checked.contains(&ptr) {
-            continue;
-        }
-        checked.push(ptr);
-        match compiled.check_fidelity_at_age(mat, vectors, age) {
-            Ok(report) => {
-                if !report.within_budget(budget) {
-                    return false;
-                }
+        let over = match sampled.iter().find(|(p, _)| *p == ptr) {
+            Some((_, over)) => *over,
+            None => {
+                let report = compiled.check_fidelity_at_age(mat, vectors, age)?;
+                let over = (!report.within_budget(budget)).then_some(report.mean_abs_error);
+                sampled.push((ptr, over));
+                over
             }
-            Err(_) => return false,
+        };
+        if let Some(mean_abs_error) = over {
+            breaches.push(LayerBreach {
+                layer: i,
+                name: compiled.name().to_string(),
+                mean_abs_error,
+                budget,
+            });
         }
     }
-    true
+    Ok(breaches)
 }
 
 /// What a worker should do with the queue.
@@ -1530,20 +1556,17 @@ fn worker_loop(shared: &Shared) {
             // Admission-selected slicing variant (index 0 = the base
             // model). Resolved per request: a selection-epoch boundary
             // can land mid-batch.
-            let (vmodel, vplan) = live.variant(req.config);
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match vplan {
-                Some(plan) => plan
-                    .run_image_in_at_age(vmodel, &req.image, &mut arena, alone, req.age)
-                    .map(|(output, tile_stats)| {
-                        let mut stats = RunStats::default();
-                        for bucket in &tile_stats {
-                            stats.merge(bucket);
-                        }
-                        (output, stats, tile_stats)
-                    }),
-                None => vmodel
-                    .run_image_in_at_age(&req.image, &mut arena, alone, req.age)
-                    .map(|(output, stats)| (output, stats, Vec::new())),
+            let variant = live.variant(req.config);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_image_placed(
+                    &variant.model,
+                    variant.plan.as_deref(),
+                    &req.image,
+                    &mut arena,
+                    alone,
+                    req.age,
+                    None,
+                )
             }))
             .unwrap_or_else(|_| {
                 Err(CoreError::Server(format!(
@@ -1551,7 +1574,18 @@ fn worker_loop(shared: &Shared) {
                     req.seq
                 )))
             })
-            .map(|(output, stats, tile_stats)| {
+            .map(|(output, tile_stats)| {
+                let mut stats = RunStats::default();
+                for bucket in &tile_stats {
+                    stats.merge(bucket);
+                }
+                // An unplaced run's one bucket is the whole request:
+                // per-tile stats are reported only on a sharded server.
+                let tile_stats = if variant.plan.is_some() {
+                    tile_stats
+                } else {
+                    Vec::new()
+                };
                 if !tile_stats.is_empty() {
                     let mut totals = shared
                         .tile_totals
@@ -1565,7 +1599,7 @@ fn worker_loop(shared: &Shared) {
                 // breakdowns below sum bit-exactly to `energy` because
                 // the meter prices the merged counters, never sums
                 // priced floats.
-                let meter = vmodel.energy_meter();
+                let meter = variant.model.energy_meter();
                 let energy = meter.breakdown(&stats.meter_events());
                 let tile_energy: Vec<EnergyBreakdown> = tile_stats
                     .iter()
@@ -1653,48 +1687,18 @@ fn watchdog_check(shared: &Shared, model: usize) -> Result<bool, CoreError> {
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .clone();
-    let dirty = plan_touches(live.plan.as_deref(), &failed);
-    let drifting = live.model.config().lifetime.is_drifting();
+    let base = live.base();
+    let dirty = plan_touches(base.plan.as_deref(), &failed);
+    let drifting = base.model.config().lifetime.is_drifting();
     if !drifting && !dirty {
         return Ok(false);
     }
-    let mut breaches = Vec::new();
-    if drifting {
+    let breaches = if drifting {
         let age = shared.lock().ages[model];
-        let budget = live.model.config().error_budget;
-        // One fidelity sample per unique compiled layer; every index
-        // sharing the artifact is reported, so a targeted reprogram
-        // covers them all.
-        let mut sampled: Vec<(*const crate::compiler::CompiledLayer, Option<f64>)> = Vec::new();
-        for (i, (mat, compiled)) in live
-            .model
-            .graph()
-            .matrix_layers()
-            .into_iter()
-            .zip(live.model.compiled_layers())
-            .enumerate()
-        {
-            let ptr = Arc::as_ptr(compiled);
-            let over = match sampled.iter().find(|(p, _)| *p == ptr) {
-                Some((_, over)) => *over,
-                None => {
-                    let report =
-                        compiled.check_fidelity_at_age(mat, shared.watchdog_vectors, age)?;
-                    let over = (!report.within_budget(budget)).then_some(report.mean_abs_error);
-                    sampled.push((ptr, over));
-                    over
-                }
-            };
-            if let Some(mean_abs_error) = over {
-                breaches.push(LayerBreach {
-                    layer: i,
-                    name: compiled.name().to_string(),
-                    mean_abs_error,
-                    budget,
-                });
-            }
-        }
-    }
+        layer_breaches(&base.model, shared.watchdog_vectors, age)?
+    } else {
+        Vec::new()
+    };
     if breaches.is_empty() && !dirty {
         return Ok(false);
     }
@@ -1755,30 +1759,33 @@ fn consult_policy(
         .unwrap_or_else(PoisonError::into_inner)
         .clone();
     let age = shared.lock().ages[model];
-    let tile_cells = live
+    let base = live.base();
+    let tile_cells = base
         .plan
         .as_deref()
-        .map_or_else(Vec::new, |p| p.tile_cells(&live.model));
+        .map_or_else(Vec::new, |p| p.tile_cells(&base.model));
     let action = shared.policy.decide(&RecalContext {
         model,
         generation: live.generation,
         age,
-        drift_epoch: live.model.config().lifetime.drift_epoch(age),
+        drift_epoch: base.model.config().lifetime.drift_epoch(age),
         trigger,
         breaches,
-        layer_count: live.model.compiled_layers().len(),
+        layer_count: base.model.compiled_layers().len(),
         tile_writes: &tile_writes,
         tile_cells: &tile_cells,
         failed_tiles: &failed,
-        plan: live.plan.as_deref(),
+        plan: base.plan.as_deref(),
     });
     apply_action(shared, model, &live, &failed, action)
 }
 
 /// Applies a policy's [`RecalibrationAction`] to the live snapshot:
-/// validates it against the failure set, reprograms, rebuilds plans, and
-/// installs the result under the write lock. The caller holds the
-/// per-model recalibration guard.
+/// validates it once against the base plan and the failure set (every
+/// variant shares the base's tiles and layer count), maps every variant
+/// through [`Variant::recalibrated`], and installs the result under the
+/// write lock. Wear is charged from the base variant's placement. The
+/// caller holds the per-model recalibration guard.
 fn apply_action(
     shared: &Shared,
     model: usize,
@@ -1787,57 +1794,24 @@ fn apply_action(
     action: RecalibrationAction,
 ) -> Result<bool, CoreError> {
     let served = &shared.models[model];
-    let generation = live.generation + 1;
-    let (fresh, plan, alts, reset_age, shrunk, written) = match action {
+    let sharded = live.base().plan.is_some();
+    match &action {
         RecalibrationAction::None => return Ok(false),
-        RecalibrationAction::ReprogramAll { map } => {
-            if let Some(m) = &map {
-                if live.plan.is_none() {
-                    return Err(CoreError::Server(
-                        "recalibration policy returned a tile map for an unsharded model".into(),
-                    ));
-                }
-                if let Some((src, dst)) = m.iter().enumerate().find(|(_, dst)| failed.contains(dst))
-                {
-                    return Err(CoreError::Server(format!(
-                        "recalibration policy mapped tile {src} onto failed tile {dst}"
-                    )));
-                }
+        RecalibrationAction::ReprogramAll { map: None } => {}
+        RecalibrationAction::ReprogramAll { map: Some(m) } => {
+            if !sharded {
+                return Err(CoreError::Server(
+                    "recalibration policy returned a tile map for an unsharded model".into(),
+                ));
             }
-            let fresh = live.model.reprogram(generation)?;
-            let plan = match (live.plan.as_deref(), &map) {
-                (Some(p), Some(m)) => Some(Arc::new(p.remap_tiles(&fresh, m, p.tiles())?)),
-                // No map: the placement carries over (the fingerprint is
-                // structural, so the existing Arc still matches).
-                (Some(_), None) => live.plan.clone(),
-                _ => None,
-            };
-            // Budget variants follow the swap: same generation, fresh
-            // programming draw, same remap. The geometry estimate is
-            // slicing-only, so it carries over unchanged.
-            let mut alts = Vec::with_capacity(live.alts.len());
-            for alt in &live.alts {
-                let fresh_alt = alt.model.reprogram(generation)?;
-                let alt_plan = match (alt.plan.as_deref(), &map) {
-                    (Some(p), Some(m)) => {
-                        Some(Arc::new(p.remap_tiles(&fresh_alt, m, p.tiles())?))
-                    }
-                    (Some(_), None) => alt.plan.clone(),
-                    _ => None,
-                };
-                alts.push(Variant {
-                    model: Arc::new(fresh_alt),
-                    plan: alt_plan,
-                    est_pj_per_vector: alt.est_pj_per_vector,
-                });
+            if let Some((src, dst)) = m.iter().enumerate().find(|(_, dst)| failed.contains(dst)) {
+                return Err(CoreError::Server(format!(
+                    "recalibration policy mapped tile {src} onto failed tile {dst}"
+                )));
             }
-            let written = plan
-                .as_deref()
-                .map_or_else(Vec::new, |p| p.tile_cells(&fresh));
-            (fresh, plan, alts, true, false, written)
         }
         RecalibrationAction::ReprogramLayers { layers } => {
-            let count = live.model.compiled_layers().len();
+            let count = live.base().model.compiled_layers().len();
             if layers.is_empty() {
                 return Err(CoreError::Server(
                     "recalibration policy named no layers to reprogram".into(),
@@ -1848,61 +1822,42 @@ fn apply_action(
                     "recalibration policy named layer {bad}, model has {count}"
                 )));
             }
-            let fresh = live.model.reprogram_layers(generation, &layers)?;
-            let mut alts = Vec::with_capacity(live.alts.len());
-            for alt in &live.alts {
-                alts.push(Variant {
-                    model: Arc::new(alt.model.reprogram_layers(generation, &layers)?),
-                    plan: alt.plan.clone(),
-                    est_pj_per_vector: alt.est_pj_per_vector,
-                });
-            }
-            let written = live
-                .plan
-                .as_deref()
-                .map_or_else(Vec::new, |p| p.tile_cells_for_layers(&fresh, &layers));
-            // Plan and device age carry over: a targeted refresh cures
-            // programming error in place while relaxation keeps accruing.
-            (fresh, live.plan.clone(), alts, false, false, written)
         }
         RecalibrationAction::Shrink { survivors } => {
-            let Some(p) = live.plan.as_deref() else {
+            if !sharded {
                 return Err(CoreError::Server(
                     "cannot shrink an unsharded model onto surviving tiles".into(),
                 ));
-            };
+            }
             if let Some(bad) = survivors.iter().find(|t| failed.contains(t)) {
                 return Err(CoreError::Server(format!(
                     "recalibration policy kept failed tile {bad} in the survivor list"
                 )));
             }
-            let fresh = live.model.reprogram(generation)?;
-            let plan = Some(Arc::new(p.shrink_onto(&fresh, &survivors)?));
-            let mut alts = Vec::with_capacity(live.alts.len());
-            for alt in &live.alts {
-                let fresh_alt = alt.model.reprogram(generation)?;
-                let alt_plan = match alt.plan.as_deref() {
-                    Some(ap) => Some(Arc::new(ap.shrink_onto(&fresh_alt, &survivors)?)),
-                    None => None,
-                };
-                alts.push(Variant {
-                    model: Arc::new(fresh_alt),
-                    plan: alt_plan,
-                    est_pj_per_vector: alt.est_pj_per_vector,
-                });
-            }
-            let written = plan
-                .as_deref()
-                .map_or_else(Vec::new, |p| p.tile_cells(&fresh));
-            (fresh, plan, alts, true, true, written)
         }
+    }
+    let generation = live.generation + 1;
+    let variants = live
+        .variants
+        .iter()
+        .map(|v| v.recalibrated(generation, &action))
+        .collect::<Result<Vec<_>, _>>()?;
+    let base = &variants[0];
+    let written = match (base.plan.as_deref(), &action) {
+        (None, _) => Vec::new(),
+        (Some(p), RecalibrationAction::ReprogramLayers { layers }) => {
+            p.tile_cells_for_layers(&base.model, layers)
+        }
+        (Some(p), _) => p.tile_cells(&base.model),
     };
+    // A targeted refresh keeps the plan and the device age: it cures
+    // programming error in place while relaxation keeps accruing.
+    let reset_age = !matches!(action, RecalibrationAction::ReprogramLayers { .. });
+    let shrunk = matches!(action, RecalibrationAction::Shrink { .. });
     *served.live.write().unwrap_or_else(PoisonError::into_inner) = LiveModel {
-        layer_gens: Arc::new(fresh.layer_generations()),
-        model: Arc::new(fresh),
-        plan,
+        layer_gens: Arc::new(base.model.layer_generations()),
+        variants,
         generation,
-        alts,
         budget_pj: live.budget_pj,
     };
     if reset_age {
@@ -2168,7 +2123,7 @@ impl RaellaServer {
         }
         // Computed outside the queue lock (it takes the live read lock).
         let advance = self.shared.age_advance(model, &image);
-        let config = self.shared.select_config_now(model);
+        let config = self.shared.select_config(model);
         let mut state = self.shared.lock();
         if state.shutdown {
             return Err(CoreError::Server(format!(
@@ -2288,7 +2243,7 @@ impl RaellaServer {
             .iter()
             .map(|image| self.shared.age_advance(model, image))
             .collect();
-        let config = self.shared.select_config_now(model);
+        let config = self.shared.select_config(model);
         let mut state = self.shared.lock();
         if state.shutdown {
             return Err(CoreError::Server(format!(
@@ -2421,7 +2376,7 @@ impl RaellaServer {
     /// Panics if `index` is out of range (see
     /// [`RaellaServer::model_count`]).
     pub fn model(&self, index: usize) -> Arc<CompiledModel> {
-        Arc::clone(&self.shared.models[index].snapshot().model)
+        Arc::clone(&self.shared.models[index].snapshot().base().model)
     }
 
     /// The live tile placement of the model at `index`, if the server is
@@ -2432,7 +2387,7 @@ impl RaellaServer {
     ///
     /// Panics if `index` is out of range.
     pub fn shard_plan(&self, index: usize) -> Option<Arc<ShardPlan>> {
-        self.shared.models[index].snapshot().plan
+        self.shared.models[index].snapshot().base().plan.clone()
     }
 
     /// Programming generation of the live model at `index` (increments
@@ -2512,7 +2467,7 @@ impl RaellaServer {
         }
         let served = &self.shared.models[index];
         let live = served.snapshot();
-        let Some(plan) = live.plan.as_deref() else {
+        let Some(plan) = live.base().plan.as_deref() else {
             return Err(CoreError::Server(format!(
                 "model {index} is unsharded: no tile to fail"
             )));

@@ -20,6 +20,12 @@
 //!   ([`crate::engine::finalize_vector`]) — the paper's inter-tile psum
 //!   accumulation.
 //!
+//! A plan never owns its model: every run takes the `(model, plan)` pair
+//! — [`ShardPlan::run_batch`] for image batches,
+//! [`ShardPlan::run_image_in_at_age`] for one image on a pooled arena —
+//! and the serving path ([`crate::server::RaellaServer`]) keeps one such
+//! pair per slicing variant, swapping both together on recalibration.
+//!
 //! # Determinism contract
 //!
 //! **Placement is pure scheduling.** Any shard count, any row budget, any
@@ -54,7 +60,7 @@ use crate::engine::{
     finalize_vector, run_batch_at_age, run_batch_groups_at_age, run_batch_parallel_at_age, RunStats,
 };
 use crate::error::CoreError;
-use crate::model::CompiledModel;
+use crate::model::{BatchResult, CompiledModel};
 use crate::parallel::{run_chunks, worker_count_for};
 
 /// One contiguous row-group range of one layer, placed on one tile.
@@ -517,6 +523,81 @@ impl ShardPlan {
             None,
         )
     }
+
+    /// Runs a batch of images through `model` under this placement,
+    /// fanning whole images across worker threads (`RAELLA_THREADS` or the
+    /// available parallelism).
+    ///
+    /// Outputs and merged stats are bit-identical to
+    /// [`CompiledModel::run_batch`]; [`BatchResult::tile_stats`] holds one
+    /// bucket per tile, merged across the batch.
+    ///
+    /// ```
+    /// use raella_arch::tile::TileSpec;
+    /// use raella_core::model::CompiledModel;
+    /// use raella_core::shard::ShardPlan;
+    /// use raella_core::RaellaConfig;
+    /// use raella_nn::graph::Graph;
+    /// use raella_nn::synth::SynthLayer;
+    /// use raella_nn::Tensor;
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let mut g = Graph::new();
+    /// let input = g.input();
+    /// let c = g.conv(input, SynthLayer::conv(2, 4, 3, 1).build(), 2, 3, 1, 1)?;
+    /// let gap = g.global_avg_pool(c);
+    /// g.set_output(gap);
+    /// let cfg = RaellaConfig {
+    ///     crossbar_rows: 8, // tiny crossbars force row-group splits
+    ///     crossbar_cols: 64,
+    ///     search_vectors: 2,
+    ///     ..RaellaConfig::default()
+    /// };
+    ///
+    /// let model = CompiledModel::compile(&g, &cfg)?;
+    /// let images = vec![Tensor::zeros(&[2, 6, 6]); 2];
+    /// let unsharded = model.run_batch(&images)?;
+    ///
+    /// let plan = ShardPlan::place(&model, 3, TileSpec::new(8, 64))?;
+    /// let result = plan.run_batch(&model, &images)?;
+    /// assert_eq!(result.outputs(), unsharded.outputs()); // placement is scheduling
+    /// assert_eq!(result.stats(), unsharded.stats());
+    /// assert_eq!(result.tile_stats().len(), 3);
+    /// assert!(plan.split_layer_count() >= 1);
+    /// # Ok(())
+    /// # }
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::PlanMismatch`] or [`CoreError::Shard`] before
+    /// any crossbar work when the plan does not match `model` (see
+    /// [`ShardPlan::check_model`]), and propagates operator shape errors
+    /// (the batch fails as a whole).
+    pub fn run_batch(
+        &self,
+        model: &CompiledModel,
+        images: &[Tensor<u8>],
+    ) -> Result<BatchResult, CoreError> {
+        self.run_batch_threaded(model, images, worker_count_for(images.len(), 1))
+    }
+
+    /// [`ShardPlan::run_batch`] with an explicit image-level worker count
+    /// (results are bit-identical at any count). With a single image
+    /// worker, split layers fan across per-tile workers instead.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ShardPlan::run_batch`].
+    pub fn run_batch_threaded(
+        &self,
+        model: &CompiledModel,
+        images: &[Tensor<u8>],
+        threads: usize,
+    ) -> Result<BatchResult, CoreError> {
+        self.check_model(model)?;
+        run_batch_placed(model, Some(self), images, threads)
+    }
 }
 
 /// One tile's slice of the compiled model: the resident compiled layers
@@ -581,216 +662,6 @@ impl TileView {
     }
 }
 
-/// Outputs and per-tile statistics of one [`ShardedModel::run_batch`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardBatchResult {
-    outputs: Vec<Tensor<u8>>,
-    tile_stats: Vec<RunStats>,
-    stats: RunStats,
-}
-
-impl ShardBatchResult {
-    /// One output tensor per input image, in input order — bit-identical
-    /// to [`crate::model::BatchResult::outputs`] on the same images.
-    pub fn outputs(&self) -> &[Tensor<u8>] {
-        &self.outputs
-    }
-
-    /// Statistics merged across all tiles and images — equal to the
-    /// unsharded batch stats.
-    pub fn stats(&self) -> &RunStats {
-        &self.stats
-    }
-
-    /// Per-tile statistics (index = tile), merged across the batch.
-    pub fn tile_stats(&self) -> &[RunStats] {
-        &self.tile_stats
-    }
-
-    /// Number of images in the batch.
-    pub fn len(&self) -> usize {
-        self.outputs.len()
-    }
-
-    /// Whether the batch was empty.
-    pub fn is_empty(&self) -> bool {
-        self.outputs.is_empty()
-    }
-
-    /// Consumes the result, yielding outputs, per-tile stats, and merged
-    /// stats.
-    pub fn into_parts(self) -> (Vec<Tensor<u8>>, Vec<RunStats>, RunStats) {
-        (self.outputs, self.tile_stats, self.stats)
-    }
-}
-
-/// A [`CompiledModel`] bound to a [`ShardPlan`]: the standalone sharded
-/// execution front end (the serving path embeds the plan in
-/// [`crate::server::RaellaServer`] instead).
-///
-/// ```
-/// use raella_arch::tile::TileSpec;
-/// use raella_core::model::CompiledModel;
-/// use raella_core::shard::ShardedModel;
-/// use raella_core::RaellaConfig;
-/// use raella_nn::graph::Graph;
-/// use raella_nn::synth::SynthLayer;
-/// use raella_nn::Tensor;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut g = Graph::new();
-/// let input = g.input();
-/// let c = g.conv(input, SynthLayer::conv(2, 4, 3, 1).build(), 2, 3, 1, 1)?;
-/// let gap = g.global_avg_pool(c);
-/// g.set_output(gap);
-/// let cfg = RaellaConfig {
-///     crossbar_rows: 8, // tiny crossbars force row-group splits
-///     crossbar_cols: 64,
-///     search_vectors: 2,
-///     ..RaellaConfig::default()
-/// };
-///
-/// let model = CompiledModel::compile(&g, &cfg)?;
-/// let images = vec![Tensor::zeros(&[2, 6, 6]); 2];
-/// let unsharded = model.run_batch(&images)?;
-///
-/// let sharded = ShardedModel::new(model, 3, TileSpec::new(8, 64))?;
-/// let result = sharded.run_batch(&images)?;
-/// assert_eq!(result.outputs(), unsharded.outputs()); // placement is scheduling
-/// assert_eq!(result.stats(), unsharded.stats());
-/// assert!(sharded.plan().split_layer_count() >= 1);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct ShardedModel {
-    model: CompiledModel,
-    plan: ShardPlan,
-}
-
-impl ShardedModel {
-    /// Shards `model` across `tiles` tiles of geometry `tile` with the
-    /// default [`ShardPlan::place`] placement.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardPlan::place`].
-    pub fn new(model: CompiledModel, tiles: usize, tile: TileSpec) -> Result<Self, CoreError> {
-        let plan = ShardPlan::place(&model, tiles, tile)?;
-        Ok(ShardedModel { model, plan })
-    }
-
-    /// Binds an explicit plan (validated against the model).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Shard`] if the plan does not match the model.
-    pub fn with_plan(model: CompiledModel, plan: ShardPlan) -> Result<Self, CoreError> {
-        plan.check_model(&model)?;
-        Ok(ShardedModel { model, plan })
-    }
-
-    /// The underlying compiled model.
-    pub fn model(&self) -> &CompiledModel {
-        &self.model
-    }
-
-    /// The placement in effect.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Replaces the placement in effect, returning the displaced plan.
-    ///
-    /// The incoming plan is validated against this model first — most
-    /// importantly its graph fingerprint, so a plan built for a
-    /// *different* model can never be installed, while a plan rebuilt for
-    /// a reprogrammed generation of the *same* model (same structure, new
-    /// programming draw) installs cleanly. On error the current plan
-    /// stays in effect untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Shard`] if the plan does not match the model.
-    pub fn install_plan(&mut self, plan: ShardPlan) -> Result<ShardPlan, CoreError> {
-        plan.check_model(&self.model)?;
-        Ok(std::mem::replace(&mut self.plan, plan))
-    }
-
-    /// Each tile's resident layers and occupancy.
-    pub fn tile_views(&self) -> Vec<TileView> {
-        self.plan.tile_views(&self.model)
-    }
-
-    /// Unbinds the plan, returning the compiled model.
-    pub fn into_model(self) -> CompiledModel {
-        self.model
-    }
-
-    /// Runs one image, fanning split layers across per-tile workers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates operator shape errors for a mis-shaped image.
-    pub fn run_image(&self, image: &Tensor<u8>) -> Result<(Tensor<u8>, Vec<RunStats>), CoreError> {
-        self.run_image_at_age(image, 0)
-    }
-
-    /// [`ShardedModel::run_image`] at device age `base_age` (served
-    /// vectors since the crossbars were last programmed).
-    ///
-    /// # Errors
-    ///
-    /// Propagates operator shape errors for a mis-shaped image.
-    pub fn run_image_at_age(
-        &self,
-        image: &Tensor<u8>,
-        base_age: u64,
-    ) -> Result<(Tensor<u8>, Vec<RunStats>), CoreError> {
-        let mut arena = ValueArena::new();
-        self.plan
-            .run_image_in_at_age(&self.model, image, &mut arena, true, base_age)
-    }
-
-    /// Runs a batch of images, fanning whole images across worker threads
-    /// (`RAELLA_THREADS` or the available parallelism).
-    ///
-    /// Outputs are bit-identical to [`CompiledModel::run_batch`]; the
-    /// per-tile stats merge to the unsharded batch stats.
-    ///
-    /// # Errors
-    ///
-    /// Propagates operator shape errors (the batch fails as a whole).
-    pub fn run_batch(&self, images: &[Tensor<u8>]) -> Result<ShardBatchResult, CoreError> {
-        self.run_batch_threaded(images, worker_count_for(images.len(), 1))
-    }
-
-    /// [`ShardedModel::run_batch`] with an explicit image-level worker
-    /// count (results are bit-identical at any count). With a single
-    /// image worker, split layers fan across per-tile workers instead.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedModel::run_batch`].
-    pub fn run_batch_threaded(
-        &self,
-        images: &[Tensor<u8>],
-        threads: usize,
-    ) -> Result<ShardBatchResult, CoreError> {
-        let (outputs, tile_stats) =
-            run_batch_placed(&self.model, Some(&self.plan), images, threads)?;
-        let mut stats = RunStats::default();
-        for bucket in &tile_stats {
-            stats.merge(bucket);
-        }
-        Ok(ShardBatchResult {
-            outputs,
-            tile_stats,
-            stats,
-        })
-    }
-}
-
 /// The image fan-out behind every batch front end: whole images across
 /// `threads` workers (clamped to one per image), each worker reusing one
 /// arena, outputs in input order and per-tile statistics merged across the
@@ -802,7 +673,7 @@ pub(crate) fn run_batch_placed(
     plan: Option<&ShardPlan>,
     images: &[Tensor<u8>],
     threads: usize,
-) -> Result<(Vec<Tensor<u8>>, Vec<RunStats>), CoreError> {
+) -> Result<BatchResult, CoreError> {
     let threads = threads.clamp(1, images.len().max(1));
     let inner_parallel = threads <= 1;
     let blocks = run_chunks(images.len(), threads, |first, n| {
@@ -821,7 +692,7 @@ pub(crate) fn run_batch_placed(
         }
         outputs.push(out);
     }
-    Ok((outputs, tile_stats))
+    Ok(BatchResult::from_tiles(outputs, tile_stats))
 }
 
 /// The one per-image execution path, sharded or not: walks `model`'s plan
@@ -1238,15 +1109,10 @@ mod tests {
         let model = compile();
         let images: Vec<Tensor<u8>> = (0..3).map(image).collect();
         let baseline = model.run_batch(&images).unwrap();
-        let mut sharded = ShardedModel::with_plan(
-            model,
-            ShardPlan::place(&compile(), 1, TileSpec::new(64, 64)).unwrap(),
-        )
-        .unwrap();
+        assert_eq!(baseline.tile_stats(), [*baseline.stats()]);
         for tiles in [1, 2, 3, 5] {
-            let plan = ShardPlan::place(sharded.model(), tiles, TileSpec::new(64, 64)).unwrap();
-            sharded = ShardedModel::with_plan(sharded.into_model(), plan).unwrap();
-            let result = sharded.run_batch(&images).unwrap();
+            let plan = ShardPlan::place(&model, tiles, TileSpec::new(64, 64)).unwrap();
+            let result = plan.run_batch(&model, &images).unwrap();
             assert_eq!(result.outputs(), baseline.outputs(), "{tiles} tiles");
             assert_eq!(result.stats(), baseline.stats(), "{tiles} tiles");
             // Per-tile buckets merge to the whole.
@@ -1273,10 +1139,11 @@ mod tests {
         let plan_b = ShardPlan::place(&model_b, 2, tile).unwrap();
         assert_eq!(plan_b.placements().len(), compile().compiled_layers().len());
 
-        let mut sharded = ShardedModel::new(compile(), 3, tile).unwrap();
+        let model = compile();
+        let images = [image(1)];
         let expected_fp = plan_b.model_fingerprint();
-        let found_fp = sharded.model().graph().fingerprint();
-        let err = sharded.install_plan(plan_b).unwrap_err();
+        let found_fp = model.graph().fingerprint();
+        let err = plan_b.run_batch(&model, &images).unwrap_err();
         match err {
             CoreError::PlanMismatch { expected, found } => {
                 assert_eq!(expected, expected_fp);
@@ -1287,16 +1154,16 @@ mod tests {
             }
             other => panic!("expected PlanMismatch error, got {other:?}"),
         }
-        // Failed install leaves the current plan untouched.
-        assert_eq!(sharded.plan().tiles(), 3);
 
         // A reprogrammed generation shares the structural fingerprint:
-        // its plan installs, and the displaced plan comes back out.
-        let regen = sharded.model().reprogram(1).unwrap();
+        // a plan placed for it runs the original model, and vice versa.
+        let regen = model.reprogram(1).unwrap();
         let plan_regen = ShardPlan::place(&regen, 2, tile).unwrap();
-        let displaced = sharded.install_plan(plan_regen).unwrap();
-        assert_eq!(displaced.tiles(), 3);
-        assert_eq!(sharded.plan().tiles(), 2);
+        plan_regen.run_batch(&model, &images).unwrap();
+        ShardPlan::place(&model, 3, tile)
+            .unwrap()
+            .run_batch(&regen, &images)
+            .unwrap();
     }
 
     #[test]
@@ -1342,18 +1209,16 @@ mod tests {
             for t in 0..3 {
                 assert_eq!(rot_stats[(t + 1) % 3], base_stats[t], "age {age} tile {t}");
             }
-            // The ShardedModel front end agrees.
-            let sharded = ShardedModel::with_plan(
-                CompiledModel::compile_with_cache(
-                    &long_filter_graph(),
-                    &cfg,
-                    &crate::compiler::SharedCompileCache::new(),
-                )
-                .unwrap(),
-                plan.clone(),
+            // A separately compiled copy of the model agrees.
+            let copy = CompiledModel::compile_with_cache(
+                &long_filter_graph(),
+                &cfg,
+                &crate::compiler::SharedCompileCache::new(),
             )
             .unwrap();
-            let (front_out, _) = sharded.run_image_at_age(&img, age).unwrap();
+            let (front_out, _) = plan
+                .run_image_in_at_age(&copy, &img, &mut ValueArena::new(), true, age)
+                .unwrap();
             assert_eq!(front_out, base_out, "age {age}");
         }
         // Aged runs report their drift epoch through the tile stats
@@ -1513,16 +1378,14 @@ mod tests {
     fn tile_views_report_residency_and_occupancy() {
         let model = compile();
         let plan = ShardPlan::place(&model, 2, TileSpec::new(64, 64)).unwrap();
-        let sharded = ShardedModel::with_plan(model, plan).unwrap();
-        let views = sharded.tile_views();
+        let views = plan.tile_views(&model);
         assert_eq!(views.len(), 2);
         let total_groups: usize = views.iter().map(|v| v.row_groups()).sum();
         // fc1 has 3 groups, fc2 has 1.
         assert_eq!(total_groups, 4);
         let total_cells: u64 = views.iter().map(|v| v.cells()).sum();
         // Programmed cells = Σ rows × columns over all layers.
-        let expected: u64 = sharded
-            .model()
+        let expected: u64 = model
             .compiled_layers()
             .iter()
             .map(|l| {
@@ -1533,7 +1396,7 @@ mod tests {
         assert_eq!(total_cells, expected);
         for v in &views {
             if v.crossbars() > 0 {
-                let u = v.utilization(sharded.plan().tile_spec());
+                let u = v.utilization(plan.tile_spec());
                 assert!(u > 0.0 && u <= 1.0, "utilization {u}");
             }
             assert_eq!(v.resident_layers().len(), v.layer_indices().len());

@@ -18,7 +18,7 @@ use raella_arch::tile::TileSpec;
 use raella_core::compiler::SharedCompileCache;
 use raella_core::model::CompiledModel;
 use raella_core::server::RaellaServer;
-use raella_core::shard::{LayerPlacement, ShardPlan, ShardSlice, ShardedModel};
+use raella_core::shard::{LayerPlacement, ShardPlan, ShardSlice};
 use raella_core::{MeterEvents, RaellaConfig};
 use raella_nn::graph::Graph;
 use raella_nn::rng::SynthRng;
@@ -136,14 +136,13 @@ proptest! {
 
         let tile = TileSpec::new(32 * budget_groups, 64);
         let plan = random_plan(&model, tiles, tile, mix ^ seed);
-        let sharded = ShardedModel::with_plan(model, plan).expect("plan matches model");
 
         // CI runs this binary under a RAELLA_THREADS matrix; restore the
         // ambient value after the pinned sweep.
         let ambient = std::env::var("RAELLA_THREADS").ok();
         for threads in ["1", "4"] {
             std::env::set_var("RAELLA_THREADS", threads);
-            let result = sharded.run_batch(&images).expect("sharded runs");
+            let result = plan.run_batch(&model, &images).expect("sharded runs");
             // Integer event counts are conserved exactly under sharding…
             let events: Vec<MeterEvents> = result
                 .tile_stats()
@@ -186,7 +185,6 @@ proptest! {
 
         // Serving surfaces the same numbers: every response's energy is
         // an offline replay of its (config, generation, age) triple.
-        let model = sharded.into_model();
         let server = RaellaServer::builder()
             .model(&graph, &cfg)
             .compile_cache(cache.clone())

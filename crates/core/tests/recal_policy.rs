@@ -13,15 +13,17 @@ use std::sync::{Arc, Mutex};
 use raella_arch::tile::TileSpec;
 use raella_core::compiler::SharedCompileCache;
 use raella_core::model::CompiledModel;
-use raella_core::server::{Admission, RaellaServer};
+use raella_core::server::{energy_config_ladder, Admission, RaellaServer};
+use raella_core::shard::ShardPlan;
 use raella_core::{
     DeviceLifetime, RaellaConfig, RecalContext, RecalTrigger, RecalibrationAction,
-    RecalibrationPolicy,
+    RecalibrationPolicy, RotatePolicy, RunStats,
 };
-use raella_nn::graph::Graph;
+use raella_nn::graph::{Graph, ValueArena};
 use raella_nn::rng::SynthRng;
 use raella_nn::synth::SynthLayer;
 use raella_nn::tensor::Tensor;
+use raella_xbar::slicing::Slicing;
 
 /// Two compiled layers; the 150-row first layer row-splits across
 /// 64-row tiles so a 3-tile plan has real slice structure.
@@ -116,6 +118,92 @@ impl RecalibrationPolicy for KeepEverything {
             survivors: (0..ctx.tile_writes.len()).collect(),
         }
     }
+}
+
+/// Remaps every tile one over, then refreshes layer 1 alone, then
+/// behaves like the default policy.
+#[derive(Debug, Default)]
+struct Scripted {
+    calls: Mutex<usize>,
+}
+
+impl RecalibrationPolicy for Scripted {
+    fn decide(&self, ctx: &RecalContext<'_>) -> RecalibrationAction {
+        let mut calls = self.calls.lock().expect("script lock");
+        *calls += 1;
+        match *calls {
+            1 => RecalibrationAction::ReprogramAll {
+                map: Some(vec![1, 2, 0]),
+            },
+            2 => RecalibrationAction::ReprogramLayers { layers: vec![1] },
+            _ => RotatePolicy.decide(ctx),
+        }
+    }
+}
+
+#[test]
+fn ladder_variants_follow_every_recalibration_and_replay_offline() {
+    // A generous error budget keeps every ladder entry eligible, so an
+    // unlimited energy budget always selects the cheapest one. Programming
+    // error without drift makes every generation's bytes distinct while
+    // the device age stays 0.
+    let budget_cfg = RaellaConfig {
+        error_budget: 10.0,
+        ..cfg()
+    }
+    .with_fixed_slicing(Slicing::uniform(2, 4))
+    .with_lifetime(DeviceLifetime::new(0.15, 0.0, 0));
+    let cache = SharedCompileCache::new();
+    let server = builder(&budget_cfg, &cache)
+        .energy_budget_pj(0, f64::MAX)
+        .recalibration_policy(Scripted::default())
+        .build()
+        .expect("server builds");
+    let ladder = energy_config_ladder(&budget_cfg);
+    let variant =
+        CompiledModel::compile_with_cache(&graph(), &ladder[1], &cache).expect("variant compiles");
+
+    // Serves one image and replays it offline on the variant: bytes and
+    // stats from its generations, per-tile stats under `placement`.
+    let serve = |step: &str, placement: &ShardPlan| {
+        let img = image(7);
+        let resp = server
+            .submit(0, img.clone(), Admission::Block)
+            .expect("admits")
+            .wait()
+            .expect("served");
+        assert_eq!(resp.selected_config(), 1, "{step}");
+        let replay = variant
+            .reprogram_to(resp.layer_generations())
+            .expect("replays");
+        let (out, stats) = replay
+            .run_image_at_age(&img, resp.age())
+            .expect("replay runs");
+        assert_eq!(&out, resp.output(), "{step}");
+        assert_eq!(&stats, resp.stats(), "{step}");
+        let (_, tiles) = placement
+            .run_image_in_at_age(&replay, &img, &mut ValueArena::new(), false, resp.age())
+            .expect("placed replay runs");
+        assert_eq!(tiles, resp.tile_stats(), "{step}");
+        resp
+    };
+
+    let placed = ShardPlan::place(&variant, 3, TileSpec::new(64, 64)).expect("fits");
+    serve("before recalibration", &placed);
+    assert!(server.recalibrate(0).expect("remap applies"));
+    let remapped = placed
+        .remap_tiles(&variant, &[1, 2, 0], 3)
+        .expect("valid map");
+    serve("after the remap", &remapped);
+    assert!(server.recalibrate(0).expect("refresh applies"));
+    let refreshed = serve("after the refresh", &remapped);
+    assert_eq!(refreshed.layer_generations(), [1, 2]);
+    assert!(server.fail_tile(0, 1).expect("shrink applies"));
+    let shrunk = remapped.shrink_onto(&variant, &[0, 2]).expect("survivors");
+    let resp = serve("after the shrink", &shrunk);
+    assert_eq!(resp.tile_stats()[1], RunStats::default());
+    assert_eq!(server.metrics().shrink_recalibrations(), 1);
+    server.shutdown();
 }
 
 #[test]

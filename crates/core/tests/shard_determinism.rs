@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use raella_arch::tile::TileSpec;
 use raella_core::compiler::SharedCompileCache;
 use raella_core::model::CompiledModel;
-use raella_core::shard::{LayerPlacement, ShardPlan, ShardSlice, ShardedModel};
+use raella_core::shard::{LayerPlacement, ShardPlan, ShardSlice};
 use raella_core::{RaellaConfig, RunStats};
 use raella_nn::graph::Graph;
 use raella_nn::rng::SynthRng;
@@ -157,15 +157,12 @@ proptest! {
             let custom = random_plan(&model, tiles, tile, mix ^ seed);
 
             // One compiled model serves both plans: the plan is pure
-            // metadata, binding and unbinding it never touches the
-            // compiled layers.
-            let mut pool = Some(model);
+            // metadata, running under it never touches the compiled
+            // layers.
             for (label, plan) in [("round-robin", placed), ("random", custom)] {
-                let sharded = ShardedModel::with_plan(pool.take().expect("model pooled"), plan)
-                    .expect("plan matches model");
                 for threads in ["1", "4"] {
                     std::env::set_var("RAELLA_THREADS", threads);
-                    let result = sharded.run_batch(&images).expect("sharded runs");
+                    let result = plan.run_batch(&model, &images).expect("sharded runs");
                     let tag = format!(
                         "{label}, {tiles} tiles, budget {budget_groups}, noise {noise}, \
                          {threads} threads"
@@ -178,7 +175,7 @@ proptest! {
                         "tile buckets must merge to the whole: {}",
                         tag
                     );
-                    prop_assert_eq!(result.tile_stats().len(), sharded.plan().tiles());
+                    prop_assert_eq!(result.tile_stats().len(), plan.tiles());
                 }
                 match &ambient {
                     Some(v) => std::env::set_var("RAELLA_THREADS", v),
@@ -188,13 +185,12 @@ proptest! {
                 // Explicit worker counts exercise the image-level fan-out
                 // (threads > 1) and the per-tile fan-out (threads == 1).
                 for workers in [1usize, 3] {
-                    let result = sharded
-                        .run_batch_threaded(&images, workers)
+                    let result = plan
+                        .run_batch_threaded(&model, &images, workers)
                         .expect("sharded runs");
                     prop_assert_eq!(result.outputs(), baseline.outputs());
                     prop_assert_eq!(result.stats(), baseline.stats());
                 }
-                pool = Some(sharded.into_model());
             }
         }
     }

@@ -20,7 +20,7 @@ use raella_arch::tile::TileSpec;
 use raella_core::compiler::{CompiledLayer, SharedCompileCache};
 use raella_core::engine::{finalize_vector, run_batch_at_age, run_batch_groups_at_age, RunStats};
 use raella_core::model::CompiledModel;
-use raella_core::shard::{LayerPlacement, ShardPlan, ShardSlice, ShardedModel};
+use raella_core::shard::{LayerPlacement, ShardPlan, ShardSlice};
 use raella_core::RaellaConfig;
 use raella_nn::graph::Graph;
 use raella_nn::matrix::{Act, InputProfile, MatrixLayer};
@@ -276,9 +276,8 @@ fn two_tile_sharded_model_reproduces_the_golden_merge() {
         ])],
     )
     .expect("two-tile split is valid");
-    let sharded = ShardedModel::with_plan(model, plan).expect("plan matches");
-    let result = sharded
-        .run_batch(std::slice::from_ref(&image))
+    let result = plan
+        .run_batch(&model, std::slice::from_ref(&image))
         .expect("runs");
     assert_eq!(result.outputs(), baseline.outputs());
     assert_eq!(result.stats(), baseline.stats());

@@ -71,20 +71,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Tile additivity: shard across 4 tiles, price each tile, and the
     // parts sum to the monolithic whole with zero ulp of error — the
     // meter merges the tiles' integer event counters and prices once.
-    let sharded = ShardedModel::new(model, 4, TileSpec::new(128, 128))?;
-    let (output, tile_stats) = sharded.run_image(&image)?;
-    let per_tile = sharded.plan().tile_energy(sharded.model(), &tile_stats);
-    println!("\nsharded across {} tiles:", sharded.plan().tiles());
+    let plan = ShardPlan::place(&model, 4, TileSpec::new(128, 128))?;
+    let sharded = plan.run_batch(&model, std::slice::from_ref(&image))?;
+    let tile_stats = sharded.tile_stats();
+    let per_tile = plan.tile_energy(&model, tile_stats);
+    println!("\nsharded across {} tiles:", plan.tiles());
     for (t, e) in per_tile.iter().enumerate() {
         println!("  tile {t}: {:>12.1} pJ", e.total_pj());
     }
     let events: Vec<MeterEvents> = tile_stats.iter().map(|s| s.meter_events()).collect();
-    let summed = sharded.model().energy_meter().merged_breakdown(&events);
+    let summed = model.energy_meter().merged_breakdown(&events);
     for (part, whole) in summed.values().into_iter().zip(total.values()) {
         assert_eq!(part.to_bits(), whole.to_bits(), "tile sum must be 0 ulp");
     }
     println!("  sum of parts == monolithic breakdown, bit for bit");
-    drop((sharded, output));
 
     // 3. SLO-aware serving: the builder precompiles the slicing ladder;
     // each admission picks the cheapest variant under the budget whose

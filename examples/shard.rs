@@ -3,7 +3,7 @@
 //! traffic through a sharded `RaellaServer`.
 //!
 //! A mini ResNet18 compiles once, then runs (1) monolithically, (2)
-//! sharded across 4 paper-geometry tiles via `ShardedModel`, printing
+//! sharded across 4 tiles under a `ShardPlan`, printing
 //! each tile's resident layers, occupancy, and per-tile `RunStats`. The
 //! outputs and merged statistics are asserted bit-identical — placement
 //! is pure scheduling. Finally a `RaellaServer` built with `.shards(4)`
@@ -48,15 +48,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The same model across 4 tiles: whole layers round-robin, long
     // layers row-split with partial sums merged digitally.
-    let sharded = ShardedModel::new(model, TILES, tile)?;
-    let plan = sharded.plan();
+    let plan = ShardPlan::place(&model, TILES, tile)?;
     println!(
         "\nplacement: {} tiles ({tile}), {} of {} layers row-split",
         plan.tiles(),
         plan.split_layer_count(),
         plan.placements().len()
     );
-    for view in sharded.tile_views() {
+    for view in plan.tile_views(&model) {
         println!(
             "  tile {}: {:2} layers, {:3} row groups, {:4} columns, {:3} crossbars, {:4.1}% utilized",
             view.tile(),
@@ -68,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let result = sharded.run_batch(&images)?;
+    let result = plan.run_batch(&model, &images)?;
     assert_eq!(
         result.outputs(),
         baseline.outputs(),

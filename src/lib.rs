@@ -98,13 +98,13 @@ pub use raella_xbar as xbar;
 pub mod prelude {
     pub use raella_arch::tile::TileSpec;
     pub use raella_core::{
-        block_on, energy_config_ladder, Admission, BatchResult, CompileCache, CompiledLayer,
-        CompiledModel, ComponentPrices, CoreError, DeviceLifetime, EnergyBreakdown, EnergyMeter,
-        EnergyProfile, FidelityReport, Gateway, GatewayClient, LayerBreach, LayerEnergy, LocalPool,
-        MeterEvents, MeterGeometry, RaellaConfig, RaellaEngine, RaellaServer, RecalContext,
-        RecalTrigger, RecalibrationAction, RecalibrationPolicy, RequestHandle, Response,
-        RotatePolicy, RunStats, ServerBuilder, ServerMetrics, ShardBatchResult, ShardPlan,
-        ShardedModel, SharedCompileCache, VectorScratch, WearAwarePolicy, WeightEncoding,
+        block_on, energy_config_ladder, Admission, BatchResult, CompiledLayer, CompiledModel,
+        ComponentPrices, CoreError, DeviceLifetime, EnergyBreakdown, EnergyMeter, EnergyProfile,
+        FidelityReport, Gateway, GatewayClient, LayerBreach, LayerEnergy, LocalPool, MeterEvents,
+        MeterGeometry, RaellaConfig, RaellaEngine, RaellaServer, RecalContext, RecalTrigger,
+        RecalibrationAction, RecalibrationPolicy, RequestHandle, Response, RotatePolicy, RunStats,
+        ServerBuilder, ServerMetrics, ShardPlan, SharedCompileCache, VectorScratch,
+        WearAwarePolicy, WeightEncoding,
     };
     pub use raella_nn::graph::Graph;
     pub use raella_nn::rng::SynthRng;

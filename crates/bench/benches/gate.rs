@@ -43,11 +43,12 @@ use raella_nn::synth::SynthLayer;
 use raella_nn::tensor::Tensor;
 use raella_xbar::slicing::Slicing;
 
-/// Single-thread mini_resnet18 ceiling per image. 25 gate runs on a
-/// shared 2-vCPU x86-64 host, spread over slow and fast phases of the
-/// host, measured medians of 3.29–6.17 ms/image (median of the 25:
-/// 3.64 ms); the ceiling is 3× that.
-const SINGLE_THREAD_CEILING: Duration = Duration::from_micros(10_900);
+/// Single-thread mini_resnet18 ceiling per image. 25 gate runs of the
+/// lane-wide, AVX2-dispatched kernel on a shared 2-vCPU x86-64 host with
+/// AVX2, spread over slow and fast phases of the host, measured medians
+/// of 2.25–5.47 ms/image (median of the 25: 3.14 ms); the ceiling is 3×
+/// that.
+const SINGLE_THREAD_CEILING: Duration = Duration::from_micros(9_400);
 /// Images (and rounds over them) timed for the single-thread ceiling.
 const SINGLE_THREAD_IMAGES: usize = 16;
 const SINGLE_THREAD_ROUNDS: usize = 3;

@@ -55,6 +55,9 @@ pub struct LevelPanels {
     centers: Vec<i32>,
     /// Rows this group covers (the packed rows per block).
     rows: usize,
+    /// Per local row: `Σ_{filter, slice} |level|`, the device charge one
+    /// unit of input mass on that row drives through every column.
+    abs_rows: Vec<u64>,
 }
 
 impl LevelPanels {
@@ -68,6 +71,12 @@ impl LevelPanels {
     /// Per-filter centers for this group.
     pub(crate) fn centers(&self) -> &[i32] {
         &self.centers
+    }
+
+    /// Per local row: the summed level magnitude of every column, so a
+    /// row driven with charge mass `m` charges the device `m·abs_rows[r]`.
+    pub(crate) fn abs_rows(&self) -> &[u64] {
+        &self.abs_rows
     }
 }
 
@@ -115,6 +124,7 @@ fn build_level_panels(groups: &[Vec<FilterGroup>], num_slices: usize) -> Vec<Lev
         let rows = groups[0][gi].rows;
         let mut data = vec![vec![0i16; filters * rows]; num_slices];
         let mut centers = Vec::with_capacity(filters);
+        let mut abs_rows = vec![0u64; rows];
         for (f, fgs) in groups.iter().enumerate() {
             let g = &fgs[gi];
             debug_assert_eq!(g.rows, rows, "group geometry is uniform by construction");
@@ -126,6 +136,7 @@ fn build_level_panels(groups: &[Vec<FilterGroup>], num_slices: usize) -> Vec<Lev
             for (s, d) in data.iter_mut().enumerate() {
                 for (r, &level) in g.levels[s].iter().enumerate() {
                     d[base + r * width + lane] = level;
+                    abs_rows[r] += u64::from(level.unsigned_abs());
                 }
             }
         }
@@ -133,6 +144,7 @@ fn build_level_panels(groups: &[Vec<FilterGroup>], num_slices: usize) -> Vec<Lev
             data,
             centers,
             rows,
+            abs_rows,
         });
     }
     panels
@@ -723,6 +735,7 @@ mod tests {
     fn level_panels_pack_group_levels_blockwise() {
         // 70 filters exercise one full 64-lane block plus a ragged 6-lane
         // tail; 150 rows over 64-row crossbars exercise multiple groups.
+        // Each group's per-row magnitude sums cover every filter and slice.
         let layer = SynthLayer::linear(150, 70, 8).build();
         let cfg = small_cfg();
         let c =
@@ -731,6 +744,16 @@ mod tests {
         for gi in 0..c.group_count() {
             let panel = &c.panels()[gi];
             let rows = c.group_row_range(gi).len();
+            let abs_rows: Vec<u64> = (0..rows)
+                .map(|r| {
+                    c.groups()
+                        .iter()
+                        .flat_map(|gs| &gs[gi].levels)
+                        .map(|levels| u64::from(levels[r].unsigned_abs()))
+                        .sum()
+                })
+                .collect();
+            assert_eq!(panel.abs_rows(), abs_rows, "abs_rows gi={gi}");
             for (f, gs) in c.groups().iter().enumerate() {
                 let g = &gs[gi];
                 assert_eq!(panel.centers()[f], g.center, "center f={f} gi={gi}");

@@ -62,16 +62,24 @@
 //!
 //! 1. **Accumulation** — one pass per weight slice over the group's
 //!    compacted rows loads each packed level row once and feeds every
-//!    window's signed sum, the noisy absolute sums and device charge
-//!    together. RAELLA's analog operands are small (windows ≤ 15, charge
-//!    mass ≤ 29, levels ≤ 31), so products accumulate in 16-bit lanes
-//!    over blocks of 64 rows — exact by a `const` bound — and widen to
-//!    `i32` (`u64` for device charge) once per block.
-//! 2. **Conversion** — ADC converts, speculation checks, recovery, and
-//!    noise draws replay *filter-major, column by column*, in exactly the
-//!    order of the scalar reference kernel. Recovery reads a failed
-//!    window's upper bits straight from the magnitude plane and derives
-//!    its lowest bit from the window's sums by linearity.
+//!    window's signed sum and, on a noisy device, its absolute sum.
+//!    RAELLA's analog operands are small (windows ≤ 15, levels ≤ 31), so
+//!    products accumulate in 16-bit lanes over blocks of 64 rows — exact
+//!    by a `const` bound — and widen to `i32` once per block.
+//! 2. **Conversion** — on a noisy device, ADC converts, speculation
+//!    checks, recovery, and noise draws replay *filter-major, column by
+//!    column*, in exactly the order of the scalar reference kernel. On an
+//!    ideal device a read draws nothing and every counter is a sum, so
+//!    the order is free: one lane-wide pass per (weight slice, window)
+//!    clamps the whole panel's sums, shift-adds them into per-lane
+//!    totals and marks rail hits in a bit mask, and only the marked lanes
+//!    are then recovered. Recovery reads a failed window's upper bits
+//!    straight from the magnitude plane and derives its lowest bit from
+//!    the window's sums by linearity.
+//!
+//! Device charge — `Σ mass·|level|` over every row, column and cycle — is
+//! charged per row, from the compiled per-row level magnitude sums
+//! ([`crate::compiler::LevelPanels`]), while counting crossbar events.
 //!
 //! The phase split is safe because analog sums are pure integer
 //! reductions (commutative even under wraparound) and noise enters only
@@ -79,6 +87,15 @@
 //! kernel over dense input planes with its own `i32`/`i64` arithmetic,
 //! and `crates/core/tests/panel_oracle.rs` pins the two against each
 //! other — outputs, statistics, and noise-stream consumption bit for bit.
+//!
+//! # Instruction sets
+//!
+//! The kernel is one portable source body. On x86-64, each entry point
+//! checks once per call whether the CPU has AVX2 and, if so, runs the
+//! same body through a wrapper compiled with AVX2 enabled (the one
+//! `unsafe` call in this crate); otherwise, and on every other target, it
+//! runs the body as built. No build flag or setting selects the path,
+//! and both produce identical bytes and statistics.
 
 use serde::{Deserialize, Serialize};
 
@@ -176,14 +193,10 @@ const ROW_BLOCK: usize = 64;
 /// Largest input-window value a row drives: the 4b speculative slice
 /// (§4.3; bit-serial windows are 1b). Inputs are 8b magnitudes.
 const MAX_WINDOW: usize = 15;
-/// Largest per-row device-charge mass: 4b-2b-2b slice values (15 + 3 + 3)
-/// plus the recovery popcount (8).
-const MAX_MASS: usize = 21 + 8;
 /// Largest programmed level magnitude: slices are at most `cell_bits`
 /// wide and programming error clamps to the slice's maximum.
 const MAX_LEVEL: usize = (1 << MAX_CELL_BITS) - 1;
 const _: () = assert!(ROW_BLOCK * MAX_WINDOW * MAX_LEVEL <= i16::MAX as usize);
-const _: () = assert!(ROW_BLOCK * MAX_MASS * MAX_LEVEL <= u16::MAX as usize);
 
 /// Rows per 16-bit block of a recovery bit sum: a bit is 0 or 1, so a
 /// block may hold far more rows than [`ROW_BLOCK`] before a sum can leave
@@ -194,12 +207,40 @@ const _: () = assert!(BIT_BLOCK * MAX_LEVEL <= i16::MAX as usize);
 /// Panel lanes one register-resident chunk of the fused pass covers.
 const CHUNK: usize = 16;
 
+// A panel's rail hits fit one `u64` mask, a bit per lane.
+const _: () = assert!(PANEL_WIDTH <= u64::BITS as usize);
+
+/// Runs `body` compiled for AVX2 when the CPU has it, and as built
+/// otherwise. Callers pass an `#[inline(always)]` closure over an
+/// `#[inline(always)]` body, so the whole kernel inlines into the AVX2
+/// wrapper and is compiled a second time for it.
+#[inline(always)]
+fn with_best_isa<R>(body: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `avx2` is safe code compiled with AVX2 enabled; calling
+        // it is sound exactly when the CPU executes AVX2, which the
+        // runtime check above has just established.
+        #[allow(unsafe_code)]
+        return unsafe { avx2(body) };
+    }
+    body()
+}
+
+/// [`with_best_isa`]'s AVX2 instantiation of `body`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn avx2<R>(body: impl FnOnce() -> R) -> R {
+    body()
+}
+
 /// Phase 1 for one weight slice of one panel block: a pass over the row
 /// group's compacted entries (`row0` is the group's first layer row) that
 /// loads each packed level row of `data` (`bw` lanes) once and adds every
-/// window's signed sum into `wsum[w·PANEL_WIDTH + lane]`, in noisy mode
-/// every window's absolute sum into `asum`, and the device charge
-/// `mass·|l|` into `dc[lane]`. Dispatches to a compile-time window count.
+/// window's signed sum into `wsum[w·PANEL_WIDTH + lane]` and, in noisy
+/// mode, every window's absolute sum into `asum`. Dispatches to a
+/// compile-time window count.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn accumulate(
     mode: InputMode,
@@ -210,20 +251,27 @@ fn accumulate(
     bw: usize,
     wsum: &mut [i32],
     asum: &mut [i32],
-    dc: &mut [u64],
 ) {
-    let run = match (mode, noisy) {
-        (InputMode::Speculative, false) => fuse::<{ SPEC_WINDOWS.len() }, false>,
-        (InputMode::Speculative, true) => fuse::<{ SPEC_WINDOWS.len() }, true>,
-        (InputMode::BitSerial, false) => fuse::<INPUT_BITS, false>,
-        (InputMode::BitSerial, true) => fuse::<INPUT_BITS, true>,
-    };
-    run(entries, row0, data, bw, wsum, asum, dc);
+    match (mode, noisy) {
+        (InputMode::Speculative, false) => {
+            fuse::<{ SPEC_WINDOWS.len() }, false>(entries, row0, data, bw, wsum, asum)
+        }
+        (InputMode::Speculative, true) => {
+            fuse::<{ SPEC_WINDOWS.len() }, true>(entries, row0, data, bw, wsum, asum)
+        }
+        (InputMode::BitSerial, false) => {
+            fuse::<INPUT_BITS, false>(entries, row0, data, bw, wsum, asum)
+        }
+        (InputMode::BitSerial, true) => {
+            fuse::<INPUT_BITS, true>(entries, row0, data, bw, wsum, asum)
+        }
+    }
 }
 
 /// [`accumulate`] over `W` windows: per [`ROW_BLOCK`] entries and per
 /// [`CHUNK`] lanes, the block's sums stay in `u16` registers and widen
 /// once.
+#[inline(always)]
 fn fuse<const W: usize, const NOISY: bool>(
     entries: &[Entry],
     row0: usize,
@@ -231,12 +279,11 @@ fn fuse<const W: usize, const NOISY: bool>(
     bw: usize,
     wsum: &mut [i32],
     asum: &mut [i32],
-    dc: &mut [u64],
 ) {
     for block in entries.chunks(ROW_BLOCK) {
         for c0 in (0..bw).step_by(CHUNK) {
             let lanes = (bw - c0).min(CHUNK);
-            let (ws, abs, ch) = if lanes == CHUNK {
+            let (ws, abs) = if lanes == CHUNK {
                 fuse_chunk::<W, NOISY, CHUNK>(block, row0, data, bw, c0, lanes)
             } else {
                 fuse_chunk::<W, NOISY, 0>(block, row0, data, bw, c0, lanes)
@@ -252,16 +299,12 @@ fn fuse<const W: usize, const NOISY: bool>(
                     }
                 }
             }
-            for (d, &b) in dc[c0..c0 + lanes].iter_mut().zip(&ch) {
-                *d += u64::from(b);
-            }
         }
     }
 }
 
-/// Per-window signed and absolute `u16` sums and the device charge of one
-/// lane chunk.
-type ChunkSums<const W: usize> = ([[u16; CHUNK]; W], [[u16; CHUNK]; W], [u16; CHUNK]);
+/// Per-window signed and absolute `u16` sums of one lane chunk.
+type ChunkSums<const W: usize> = ([[u16; CHUNK]; W], [[u16; CHUNK]; W]);
 
 /// One entry block × lanes `c0..c0 + lanes` of [`fuse`] (`C`: the lane
 /// count at compile time, `0` when known only at run time).
@@ -277,37 +320,34 @@ fn fuse_chunk<const W: usize, const NOISY: bool, const C: usize>(
     let lanes = if C == 0 { lanes } else { C };
     let mut ws = [[0u16; CHUNK]; W];
     let mut abs = [[0u16; CHUNK]; W];
-    let mut ch = [0u16; CHUNK];
     for e in block {
         let at = (e.row as usize - row0) * bw + c0;
         let row = &data[at..at + lanes];
-        let mut mag = [0u16; CHUNK];
-        for (m, &l) in mag.iter_mut().zip(row) {
-            *m = l.unsigned_abs();
-        }
         for (acc, &x) in ws.iter_mut().zip(&e.win) {
             for (a, &l) in acc.iter_mut().zip(row) {
                 *a = a.wrapping_add(x.wrapping_mul(l as u16));
             }
         }
         if NOISY {
+            let mut mag = [0u16; CHUNK];
+            for (m, &l) in mag.iter_mut().zip(row) {
+                *m = l.unsigned_abs();
+            }
             for (acc, &x) in abs.iter_mut().zip(&e.win) {
                 for (a, &m) in acc.iter_mut().zip(&mag) {
                     *a = a.wrapping_add(x.wrapping_mul(m));
                 }
             }
         }
-        for (a, &m) in ch.iter_mut().zip(&mag) {
-            *a = a.wrapping_add(e.mass.wrapping_mul(m));
-        }
     }
-    (ws, abs, ch)
+    (ws, abs)
 }
 
 /// `(Σ bit_b(x)·l, Σ bit_b(x)·|l|)` of one column for the `BITS` bits
 /// above bit `l` (`[b − l − 1]`), read straight from the magnitude plane
 /// in one pass of exact 16-bit [`BIT_BLOCK`]s; absolute sums only if
 /// `NOISY`.
+#[inline(always)]
 fn upper_bit_sums<const BITS: usize, const NOISY: bool>(
     plane: &[u16],
     levels: &[i16],
@@ -335,6 +375,7 @@ fn upper_bit_sums<const BITS: usize, const NOISY: bool>(
 
 /// Converts one recovery read and counts it. A saturation is accepted and
 /// propagated (rare, §3.4).
+#[inline(always)]
 fn recovery_convert(cfg: &RaellaConfig, sum: i64, stats: &mut RunStats) -> i64 {
     let out = cfg.adc.convert(sum);
     stats.events.adc_converts += 1;
@@ -352,6 +393,7 @@ fn recovery_convert(cfg: &RaellaConfig, sum: i64, stats: &mut RunStats) -> i64 {
 /// window value is `Σ_b 2^{b−l}·bit_b` and so `r_l = w − Σ_{b>l}
 /// 2^{b−l}·r_b` for the signed and the absolute sums alike. One noise
 /// draw per bit, in order.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn recover_window(
     cfg: &RaellaConfig,
@@ -364,14 +406,13 @@ fn recover_window(
     stats: &mut RunStats,
     rng: &mut NoiseRng,
 ) -> i64 {
-    let upper = match (window.width(), noise.is_ideal()) {
-        (4, true) => upper_bit_sums::<3, false>,
-        (4, false) => upper_bit_sums::<3, true>,
-        (2, true) => upper_bit_sums::<1, false>,
-        (2, false) => upper_bit_sums::<1, true>,
+    let sums = match (window.width(), noise.is_ideal()) {
+        (4, true) => upper_bit_sums::<3, false>(plane, levels, window.l),
+        (4, false) => upper_bit_sums::<3, true>(plane, levels, window.l),
+        (2, true) => upper_bit_sums::<1, false>(plane, levels, window.l),
+        (2, false) => upper_bit_sums::<1, true>(plane, levels, window.l),
         _ => unreachable!("speculative windows are 4b or 2b"),
     };
-    let sums = upper(plane, levels, window.l);
     let mut total = 0i64;
     for b in (window.l..=window.h).rev() {
         let (wb, ab) = if b == window.l {
@@ -386,17 +427,45 @@ fn recover_window(
     total
 }
 
-/// Counts cycles, DAC pulses and row activations for one crossbar
-/// row-group processing one input plane, from the group's compacted rows:
-/// a row's DAC pulses are its charge mass (every cycle's input value), and
+/// Counts cycles, DAC pulses, row activations and device charge for one
+/// crossbar row-group processing one input plane, from the group's
+/// compacted rows (`row0`: the group's first layer row): a row's DAC
+/// pulses are its charge mass (every cycle's input value), its device
+/// charge that mass times its per-row level magnitudes `abs_rows`, and
 /// zero rows contribute nothing.
-fn count_crossbar_events(cycles: u64, entries: &[Entry], crossbars: u64, stats: &mut RunStats) {
-    let (pulses, active) = entries.iter().fold((0u64, 0u64), |(p, a), e| {
-        (p + u64::from(e.mass), a + u64::from(e.active))
-    });
+fn count_crossbar_events(
+    cycles: u64,
+    entries: &[Entry],
+    row0: usize,
+    abs_rows: &[u64],
+    crossbars: u64,
+    stats: &mut RunStats,
+) {
+    let (mut pulses, mut active, mut charge) = (0u64, 0u64, 0u64);
+    for e in entries {
+        pulses += u64::from(e.mass);
+        active += u64::from(e.active);
+        charge += u64::from(e.mass) * abs_rows[e.row as usize - row0];
+    }
     stats.events.cycles += cycles;
     stats.events.dac_pulses += pulses * crossbars;
     stats.events.row_activations += active * crossbars;
+    stats.events.device_charge += charge;
+}
+
+/// The ideal-device conversion pass over one (weight slice, window) of a
+/// panel: clamps every lane's window sum to the ADC rails `lo..=hi`,
+/// shift-adds it into the lane's total and returns the lanes whose
+/// conversion hit a rail, one bit per lane.
+#[inline(always)]
+fn convert_lanes(sums: &[i32], (lo, hi): (i32, i32), shift: u32, totals: &mut [i64]) -> u64 {
+    let mut rails = 0u64;
+    for (i, (t, &w)) in totals.iter_mut().zip(sums).enumerate() {
+        let out = w.clamp(lo, hi);
+        *t += i64::from(out) << shift;
+        rails |= u64::from(out == lo || out == hi) << i;
+    }
+    rails
 }
 
 /// Runs a batch of input vectors through a compiled layer, serially, on a
@@ -550,7 +619,8 @@ fn run_batch_blocks(
 /// `i` of `inputs` (global index `first_vector + i`) over the row groups
 /// in `groups` through one reused [`VectorScratch`], then hands `finish`
 /// the vector's position in the batch, its input and its accumulators.
-/// Returns the range statistics merged with every `finish` delta.
+/// Returns the range statistics merged with every `finish` delta. Runs on
+/// AVX2 when the CPU has it (see [`with_best_isa`]).
 fn run_vectors(
     layer: &CompiledLayer,
     inputs: &[Act],
@@ -560,22 +630,27 @@ fn run_vectors(
     base_age: u64,
     mut finish: impl FnMut(usize, &[Act], &[i64]) -> RunStats,
 ) -> RunStats {
-    let mut scratch = VectorScratch::for_layer(layer);
-    let mut stats = RunStats::default();
-    for (i, input) in inputs.chunks_exact(layer.filter_len()).enumerate() {
-        scratch.acc.fill(0);
-        stats.merge(&run_vector_groups_at_age(
-            layer,
-            input,
-            groups.clone(),
-            &mut scratch,
-            noise_seed,
-            first_vector + i as u64,
-            base_age,
-        ));
-        stats.merge(&finish(i, input, &scratch.acc));
-    }
-    stats
+    with_best_isa(
+        #[inline(always)]
+        || {
+            let mut scratch = VectorScratch::for_layer(layer);
+            let mut stats = RunStats::default();
+            for (i, input) in inputs.chunks_exact(layer.filter_len()).enumerate() {
+                scratch.acc.fill(0);
+                stats.merge(&vector_groups(
+                    layer,
+                    input,
+                    groups.clone(),
+                    &mut scratch,
+                    noise_seed,
+                    first_vector + i as u64,
+                    base_age,
+                ));
+                stats.merge(&finish(i, input, &scratch.acc));
+            }
+            stats
+        },
+    )
 }
 
 /// Validates the batch shape and returns the vector count.
@@ -612,12 +687,42 @@ fn batch_vectors(layer: &CompiledLayer, inputs: &[Act]) -> usize {
 /// disjoint ranges may run on different threads (or simulated tiles) in
 /// any order and still reproduce the monolithic run bit for bit.
 ///
+/// Runs on AVX2 when the CPU has it (see the module's *Instruction sets*
+/// section); the result is the same either way.
+///
 /// # Panics
 ///
 /// Panics if `input.len() != layer.filter_len()` or `groups` exceeds
 /// [`CompiledLayer::group_count`].
-#[allow(clippy::too_many_arguments)]
 pub fn run_vector_groups_at_age(
+    layer: &CompiledLayer,
+    input: &[Act],
+    groups: std::ops::Range<usize>,
+    scratch: &mut VectorScratch,
+    noise_seed: u64,
+    vector_index: u64,
+    base_age: u64,
+) -> RunStats {
+    with_best_isa(
+        #[inline(always)]
+        || {
+            vector_groups(
+                layer,
+                input,
+                groups,
+                scratch,
+                noise_seed,
+                vector_index,
+                base_age,
+            )
+        },
+    )
+}
+
+/// The portable body of [`run_vector_groups_at_age`], inlined into each
+/// instruction-set instantiation.
+#[inline(always)]
+fn vector_groups(
     layer: &CompiledLayer,
     input: &[Act],
     groups: std::ops::Range<usize>,
@@ -676,8 +781,12 @@ pub fn run_vector_groups_at_age(
     };
     let cycles = cfg.cycles_per_psum_set();
     // The ADC's rails, resolved once: a conversion clamps to them, and an
-    // output on either one is a saturation (`AdcSpec::saturated`).
+    // output on either one is a saturation (`AdcSpec::saturated`). The
+    // ideal pass clamps the `i32` window sums themselves; `AdcSpec::new`
+    // caps ADCs at 16 bits, so narrowing the rails to `i32` is exact.
     let (adc_min, adc_max) = (cfg.adc.min(), cfg.adc.max());
+    let narrow = |rail: i64| rail.clamp(i32::MIN.into(), i32::MAX.into()) as i32;
+    let rails = (narrow(adc_min), narrow(adc_max));
 
     for gi in groups.clone() {
         debug_assert_uniform_geometry(layer, gi);
@@ -693,7 +802,6 @@ pub fn run_vector_groups_at_age(
             rngs,
             wsum,
             asum,
-            dc,
         } = scratch.split();
         for (k, gi) in groups.clone().enumerate() {
             let rng = &mut rngs[k];
@@ -705,8 +813,18 @@ pub fn run_vector_groups_at_age(
             let hi = lo + entries[lo..].partition_point(|e| (e.row as usize) < range.end);
             let gentries = &entries[lo..hi];
             // Cycle/DAC/row event counting is per crossbar (shared across
-            // the columns it holds), not per column.
-            count_crossbar_events(cycles, gentries, crossbars_per_group, &mut stats);
+            // the columns it holds), not per column; device charge covers
+            // every column (all cycles drive all columns, including
+            // recovery cycles for columns whose speculation succeeded,
+            // §4.3.1).
+            count_crossbar_events(
+                cycles,
+                gentries,
+                range.start,
+                panel.abs_rows(),
+                crossbars_per_group,
+                &mut stats,
+            );
             let gplane = &plane[range.clone()];
             let gsum: i64 = gplane.iter().map(|&x| i64::from(x)).sum();
             for p in 0..filters.div_ceil(PANEL_WIDTH) {
@@ -715,15 +833,12 @@ pub fn run_vector_groups_at_age(
 
                 // Phase 1 — accumulation: per weight slice, one fused
                 // pass over the group's nonzero rows feeds the whole
-                // panel's window sums and device charge (all cycles drive
-                // all columns, including recovery cycles for columns whose
-                // speculation succeeded, §4.3.1).
+                // panel's window sums.
                 let used = num_slices * windows * PANEL_WIDTH;
                 wsum[..used].fill(0);
                 if noisy {
                     asum[..used].fill(0);
                 }
-                dc[..num_slices * PANEL_WIDTH].fill(0);
                 for s in 0..num_slices {
                     let at = s * windows * PANEL_WIDTH;
                     accumulate(
@@ -735,67 +850,124 @@ pub fn run_vector_groups_at_age(
                         bw,
                         &mut wsum[at..at + windows * PANEL_WIDTH],
                         &mut asum[at..at + windows * PANEL_WIDTH],
-                        &mut dc[s * PANEL_WIDTH..(s + 1) * PANEL_WIDTH],
                     );
                 }
 
-                // Phase 2 — conversion: filter-major over the panel,
-                // replaying the scalar kernel's per-column ADC order so
-                // noise draws (and recovery re-reads) consume the group's
-                // substream in exactly the reference sequence. Every
-                // column converts every window once.
+                // Phase 2 — conversion. Every column converts every
+                // window once; per-column totals start from the center
+                // term.
                 let converts = (bw * num_slices * windows) as u64;
                 stats.events.adc_converts += converts;
                 match cfg.input_mode {
                     InputMode::Speculative => stats.spec_attempts += converts,
                     InputMode::BitSerial => stats.bitserial_converts += converts,
                 }
-                for i in 0..bw {
-                    let f = f0 + i;
-                    let mut total = i64::from(panel.centers()[f]) * gsum;
+                let mut totals = [0i64; PANEL_WIDTH];
+                let totals = &mut totals[..bw];
+                for (t, &c) in totals.iter_mut().zip(&panel.centers()[f0..f0 + bw]) {
+                    *t = i64::from(c) * gsum;
+                }
+                if noisy {
+                    // Filter-major over the panel, replaying the scalar
+                    // kernel's per-column ADC order so noise draws (and
+                    // recovery re-reads) consume the group's substream in
+                    // exactly the reference sequence.
+                    for (i, total) in totals.iter_mut().enumerate() {
+                        for (s, &w_shift) in shifts.iter().enumerate() {
+                            match cfg.input_mode {
+                                InputMode::Speculative => {
+                                    for (j, window) in SPEC_WINDOWS.iter().enumerate() {
+                                        let idx = (s * windows + j) * PANEL_WIDTH + i;
+                                        let (w, a) = (wsum[idx].into(), asum[idx].into());
+                                        let out = noise.read(w, a, rng).clamp(adc_min, adc_max);
+                                        if out == adc_min || out == adc_max {
+                                            // Speculation failed: recover
+                                            // with 1b slices of this window
+                                            // (rare, so the re-read is per
+                                            // column).
+                                            stats.spec_failures += 1;
+                                            *total += recover_window(
+                                                cfg,
+                                                &noise,
+                                                gplane,
+                                                &layer.groups()[f0 + i][gi].levels[s],
+                                                (w, a),
+                                                w_shift,
+                                                *window,
+                                                &mut stats,
+                                                rng,
+                                            );
+                                        } else {
+                                            *total += out << (w_shift + window.shift());
+                                        }
+                                    }
+                                }
+                                InputMode::BitSerial => {
+                                    for b in (0..INPUT_BITS as u32).rev() {
+                                        let idx =
+                                            (s * windows + (7 - b) as usize) * PANEL_WIDTH + i;
+                                        let (w, a) = (wsum[idx].into(), asum[idx].into());
+                                        let out = noise.read(w, a, rng).clamp(adc_min, adc_max);
+                                        if out == adc_min || out == adc_max {
+                                            stats.bitserial_saturations += 1;
+                                        }
+                                        *total += out << (w_shift + b);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                } else {
+                    // Ideal device: reads draw nothing and every counter
+                    // is a sum, so the panel converts lane-wide per
+                    // (slice, window) and then recovers only the lanes
+                    // that hit a rail.
                     for (s, &w_shift) in shifts.iter().enumerate() {
                         match cfg.input_mode {
                             InputMode::Speculative => {
                                 for (j, window) in SPEC_WINDOWS.iter().enumerate() {
-                                    let idx = (s * windows + j) * PANEL_WIDTH + i;
-                                    let (w, a) = (wsum[idx].into(), asum[idx].into());
-                                    let out = noise.read(w, a, rng).clamp(adc_min, adc_max);
-                                    if out == adc_min || out == adc_max {
-                                        // Speculation failed: recover with
-                                        // 1b slices of this window (rare,
-                                        // so the re-read is per column).
-                                        stats.spec_failures += 1;
-                                        total += recover_window(
+                                    let at = (s * windows + j) * PANEL_WIDTH;
+                                    let sums = &wsum[at..at + bw];
+                                    let shift = w_shift + window.shift();
+                                    let failed = convert_lanes(sums, rails, shift, totals);
+                                    stats.spec_failures += u64::from(failed.count_ones());
+                                    // Speculation failed: swap the rail
+                                    // for a 1b-slice recovery of the
+                                    // window.
+                                    let mut walk = failed;
+                                    while walk != 0 {
+                                        let i = walk.trailing_zeros() as usize;
+                                        walk &= walk - 1;
+                                        let w = sums[i];
+                                        totals[i] -= i64::from(w.clamp(rails.0, rails.1)) << shift;
+                                        totals[i] += recover_window(
                                             cfg,
                                             &noise,
                                             gplane,
-                                            &layer.groups()[f][gi].levels[s],
-                                            (w, a),
+                                            &layer.groups()[f0 + i][gi].levels[s],
+                                            (w.into(), 0),
                                             w_shift,
                                             *window,
                                             &mut stats,
                                             rng,
                                         );
-                                    } else {
-                                        total += out << (w_shift + window.shift());
                                     }
                                 }
                             }
                             InputMode::BitSerial => {
                                 for b in (0..INPUT_BITS as u32).rev() {
-                                    let idx = (s * windows + (7 - b) as usize) * PANEL_WIDTH + i;
-                                    let (w, a) = (wsum[idx].into(), asum[idx].into());
-                                    let out = noise.read(w, a, rng).clamp(adc_min, adc_max);
-                                    if out == adc_min || out == adc_max {
-                                        stats.bitserial_saturations += 1;
-                                    }
-                                    total += out << (w_shift + b);
+                                    let at = (s * windows + (7 - b) as usize) * PANEL_WIDTH;
+                                    let sums = &wsum[at..at + bw];
+                                    let saturated = convert_lanes(sums, rails, w_shift + b, totals);
+                                    stats.bitserial_saturations +=
+                                        u64::from(saturated.count_ones());
                                 }
                             }
                         }
-                        stats.events.device_charge += dc[s * PANEL_WIDTH + i];
                     }
-                    acc[f] += sign * total;
+                }
+                for (a, &t) in acc[f0..f0 + bw].iter_mut().zip(totals.iter()) {
+                    *a += sign * t;
                 }
             }
         }
@@ -1451,64 +1623,78 @@ mod tests {
         assert!((a.spec_failure_rate() - 0.025).abs() < 1e-12);
     }
 
-    /// The panel kernel and the retained scalar kernel must agree on
-    /// accumulators *and* full statistics — ideal and noisy, both input
-    /// modes, full and partial group ranges. A 70-filter layer exercises
-    /// a full 64-wide panel plus a ragged 6-wide tail.
+    /// Both instantiations of the panel kernel must agree with the
+    /// retained scalar kernel on accumulators *and* full statistics: the
+    /// portable body, called directly, and the dispatched entry point,
+    /// which runs the AVX2 wrapper when the CPU has it. The sweep covers
+    /// ideal and noisy devices, both input modes, a 3b ADC (speculation
+    /// fails on most windows) and the 7b default, 16/64/70 filters (70: a
+    /// full 64-wide panel plus a ragged 6-wide tail), 512-row groups, and
+    /// full and partial group ranges.
     #[test]
     fn panel_kernel_matches_reference_kernel() {
-        let layer = SynthLayer::linear(150, 70, 51).build();
-        let base = RaellaConfig {
-            crossbar_rows: 64,
-            crossbar_cols: 64,
-            ..RaellaConfig::default()
-        };
-        for noise in [0.0, 0.07] {
-            for bitserial in [false, true] {
-                let mut cfg = base.clone().with_noise(noise);
-                if bitserial {
-                    cfg = cfg.without_speculation();
-                }
-                let compiled =
-                    CompiledLayer::with_slicing(&layer, Slicing::raella_default_weights(), &cfg)
+        for filters in [16, 64, 70] {
+            let layer = SynthLayer::linear(1100, filters, 51 + filters as u64).build();
+            let inputs = layer.sample_inputs(2, 19);
+            for noise in [0.0, 0.07] {
+                for bitserial in [false, true] {
+                    for adc_bits in [3, 7] {
+                        let mut cfg = RaellaConfig::default().with_noise(noise);
+                        cfg.adc = AdcSpec::new(adc_bits, true);
+                        if bitserial {
+                            cfg = cfg.without_speculation();
+                        }
+                        let compiled = CompiledLayer::with_slicing(
+                            &layer,
+                            Slicing::raella_default_weights(),
+                            &cfg,
+                        )
                         .unwrap();
-                let inputs = layer.sample_inputs(2, 19);
-                let ranges = [0..compiled.group_count(), 1..2];
-                for range in ranges {
-                    for (v, input) in inputs.chunks(compiled.filter_len()).enumerate() {
-                        let mut panel_scratch = VectorScratch::for_layer(&compiled);
-                        let mut ref_scratch = VectorScratch::for_layer(&compiled);
-                        let ps = run_vector_groups_at_age(
-                            &compiled,
-                            input,
-                            range.clone(),
-                            &mut panel_scratch,
-                            9,
-                            v as u64,
-                            0,
-                        );
-                        let rs = run_vector_groups_reference_at_age(
-                            &compiled,
-                            input,
-                            range.clone(),
-                            &mut ref_scratch,
-                            9,
-                            v as u64,
-                            0,
-                        );
-                        assert_eq!(
-                            panel_scratch.acc, ref_scratch.acc,
-                            "noise {noise} bitserial {bitserial} range {range:?} vector {v}"
-                        );
-                        assert_eq!(
-                            ps, rs,
-                            "noise {noise} bitserial {bitserial} range {range:?} vector {v}"
-                        );
+                        assert_eq!(compiled.group_row_range(0).len(), 512);
+                        for range in [0..compiled.group_count(), 1..2] {
+                            for (v, input) in inputs.chunks(compiled.filter_len()).enumerate() {
+                                let case = format!(
+                                    "filters {filters} noise {noise} bitserial {bitserial} \
+                                     adc {adc_bits}b range {range:?} vector {v}"
+                                );
+                                let run = |kernel: Kernel| {
+                                    let mut scratch = VectorScratch::for_layer(&compiled);
+                                    let stats = kernel(
+                                        &compiled,
+                                        input,
+                                        range.clone(),
+                                        &mut scratch,
+                                        9,
+                                        v as u64,
+                                        0,
+                                    );
+                                    (scratch.acc, stats)
+                                };
+                                let reference = run(run_vector_groups_reference_at_age);
+                                assert_eq!(run(vector_groups), reference, "portable: {case}");
+                                assert_eq!(
+                                    run(run_vector_groups_at_age),
+                                    reference,
+                                    "dispatched: {case}"
+                                );
+                            }
+                        }
                     }
                 }
             }
         }
     }
+
+    /// The signature every per-vector kernel shares.
+    type Kernel = fn(
+        &CompiledLayer,
+        &[Act],
+        std::ops::Range<usize>,
+        &mut VectorScratch,
+        u64,
+        u64,
+        u64,
+    ) -> RunStats;
 
     /// Aged execution: epoch 0 replays the static engine bit for bit, a
     /// later age re-keys the streams and raises the noise level, the

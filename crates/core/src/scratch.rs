@@ -106,8 +106,6 @@ pub struct VectorScratch {
     /// Panel absolute-product accumulators (noise-model charge), same
     /// layout as `wsum`; only written in noisy mode.
     pub(crate) asum: Vec<i32>,
-    /// Panel device-charge accumulators: `[weight slice][lane]`, `u64`.
-    pub(crate) dc: Vec<u64>,
 }
 
 impl VectorScratch {
@@ -121,7 +119,6 @@ impl VectorScratch {
             rngs: Vec::new(),
             wsum: Vec::new(),
             asum: Vec::new(),
-            dc: Vec::new(),
         };
         scratch.resize_for(layer);
         scratch
@@ -144,7 +141,6 @@ impl VectorScratch {
         let panel = layer.columns_per_filter() * INPUT_BITS * PANEL_WIDTH;
         self.wsum.resize(panel, 0);
         self.asum.resize(panel, 0);
-        self.dc.resize(panel / INPUT_BITS, 0);
     }
 
     /// Loads one sign plane of `input` into `plane`: the positive
@@ -199,7 +195,6 @@ impl VectorScratch {
             rngs: &mut self.rngs,
             wsum: &mut self.wsum,
             asum: &mut self.asum,
-            dc: &mut self.dc,
         }
     }
 }
@@ -213,7 +208,6 @@ pub(crate) struct Split<'a> {
     pub(crate) rngs: &'a mut [NoiseRng],
     pub(crate) wsum: &'a mut [i32],
     pub(crate) asum: &'a mut [i32],
-    pub(crate) dc: &'a mut [u64],
 }
 
 #[cfg(test)]

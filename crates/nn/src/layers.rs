@@ -313,19 +313,17 @@ pub fn global_avg_pool(input: &Tensor<u8>) -> Result<Tensor<u8>, NnError> {
             got: format!("{shape:?}"),
         });
     }
-    let (c, h, w) = (shape[0], shape[1], shape[2]);
-    let mut out = Tensor::zeros(&[c]);
-    let area = (h * w) as u32;
-    for ch in 0..c {
-        let mut sum = 0u32;
-        for y in 0..h {
-            for x in 0..w {
-                sum += u32::from(input.get(&[ch, y, x]));
-            }
-        }
-        out.set(&[ch], ((sum + area / 2) / area).min(255) as u8);
-    }
-    Ok(out)
+    let (c, area) = (shape[0], shape[1] * shape[2]);
+    // Each channel is one contiguous `area`-long run of the CHW buffer.
+    let means = (0..c)
+        .map(|ch| {
+            let plane = &input.as_slice()[ch * area..(ch + 1) * area];
+            let sum: u32 = plane.iter().map(|&x| u32::from(x)).sum();
+            let area = area as u32;
+            ((sum + area / 2) / area).min(255) as u8
+        })
+        .collect();
+    Tensor::from_vec(means, &[c])
 }
 
 /// Elementwise residual merge: rescaled average of two equal-shape maps,
@@ -579,6 +577,27 @@ mod tests {
         let input = Tensor::from_vec(vec![1u8, 2, 3, 4], &[1, 2, 2]).unwrap();
         let out = global_avg_pool(&input).unwrap();
         assert_eq!(out.as_slice(), &[3]); // (10 + 2) / 4 = 3 after rounding
+    }
+
+    #[test]
+    fn global_avg_pool_matches_the_coordinate_definition() {
+        for (c, h, w) in [(3, 5, 7), (2, 1, 9), (4, 6, 2)] {
+            let data: Vec<u8> = (0..c * h * w).map(|i| (i * 37 % 251) as u8).collect();
+            let input = Tensor::from_vec(data, &[c, h, w]).unwrap();
+            let out = global_avg_pool(&input).unwrap();
+            assert_eq!(out.shape(), &[c]);
+            let area = (h * w) as u32;
+            for ch in 0..c {
+                let mut sum = 0u32;
+                for y in 0..h {
+                    for x in 0..w {
+                        sum += u32::from(input.get(&[ch, y, x]));
+                    }
+                }
+                let mean = ((sum + area / 2) / area).min(255) as u8;
+                assert_eq!(out.get(&[ch]), mean, "shape {c}x{h}x{w} channel {ch}");
+            }
+        }
     }
 
     #[test]

@@ -100,16 +100,6 @@ impl BatchResult {
             .map(|out| argmax(out.as_slice()))
             .collect()
     }
-
-    /// Consumes the result, yielding the output tensors.
-    pub fn into_outputs(self) -> Vec<Tensor<u8>> {
-        self.outputs
-    }
-
-    /// Consumes the result, yielding outputs and merged statistics.
-    pub fn into_parts(self) -> (Vec<Tensor<u8>>, RunStats) {
-        (self.outputs, self.stats)
-    }
 }
 
 /// A whole DNN graph compiled for RAELLA: every matrix layer's crossbar
@@ -311,16 +301,6 @@ impl CompiledModel {
         threads: usize,
     ) -> Result<BatchResult, CoreError> {
         run_batch_placed(self, None, images, threads)
-    }
-
-    /// Top-1 predictions for a batch of images — a thin argmax over
-    /// [`CompiledModel::run_batch`]'s shared execution path.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CompiledModel::run_batch`].
-    pub fn predict_batch(&self, images: &[Tensor<u8>]) -> Result<Vec<usize>, CoreError> {
-        Ok(self.run_batch(images)?.predictions())
     }
 
     /// Runs one image against a caller-pooled arena — the serving hot

@@ -38,7 +38,6 @@ pub mod area;
 pub mod breakdown;
 pub mod meter;
 pub mod prices;
-pub mod scaling;
 pub mod titanium;
 
 pub use area::ComponentAreas;

@@ -10,8 +10,6 @@
 //!   [Zhao et al., ICLR 2020] that the paper adopts (§2.1, §4.2.1).
 //! * [`layers`] — convolution (via im2col), fully connected, pooling and
 //!   elementwise ops with `i32` accumulation.
-//! * [`fold`] — batch-norm folding into per-channel-quantized weights,
-//!   the deployment transform that produces crossbar-ready layers.
 //! * [`graph`] — a tiny DAG executor for mini end-to-end models.
 //! * [`models`] — the model zoo: full layer-shape tables of the seven
 //!   evaluated DNNs (for analytic energy/throughput) and *mini* functional
@@ -45,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod fold;
 pub mod graph;
 pub mod layers;
 pub mod matrix;

@@ -1,6 +1,6 @@
 //! Property tests for graph structural validation.
 //!
-//! Two families of properties:
+//! Two families of properties, plus plan-identity and arena-reuse checks:
 //!
 //! * Randomly wired *valid* DAGs plan, run, and report their matrix
 //!   layers in execution order — checked against a recording engine, the
@@ -18,14 +18,18 @@ use raella_nn::matrix::{Act, MatrixLayer};
 use raella_nn::synth::SynthLayer;
 use raella_nn::{NnError, Tensor};
 
-/// Engine wrapper that records the order layers are executed in.
+/// Engine wrapper that records the order layers are executed in and the
+/// largest activation batch it is handed.
+#[derive(Default)]
 struct RecordingEngine {
     calls: Vec<String>,
+    peak: usize,
 }
 
 impl MatVecEngine for RecordingEngine {
     fn layer_outputs(&mut self, layer: &MatrixLayer, inputs: &[Act]) -> Vec<u8> {
         self.calls.push(layer.name().to_string());
+        self.peak = self.peak.max(inputs.len());
         ReferenceEngine.layer_outputs(layer, inputs)
     }
 }
@@ -84,7 +88,7 @@ proptest! {
             .iter()
             .map(|l| l.name().to_string())
             .collect();
-        let mut engine = RecordingEngine { calls: Vec::new() };
+        let mut engine = RecordingEngine::default();
         let out = g.run(&image16(), &mut engine);
         prop_assert!(out.is_ok(), "valid graph failed: {:?}", out.err());
         prop_assert_eq!(engine.calls, listed);
@@ -256,5 +260,44 @@ proptest! {
                 "foreign plan accepted: {:?}", ran.map(|_| ())
             );
         }
+    }
+}
+
+/// Arena reuse: streaming same-shape images through one `ValueArena`
+/// sizes its pooled activation scratch for the largest matrix layer on
+/// the first image and never reallocates it after, and every image's
+/// output matches a run on a fresh arena (nothing stale leaks from one
+/// image into the next).
+#[test]
+fn shared_arena_stops_growing_after_first_image() {
+    let model = raella_nn::models::mini::mini_resnet18(0xBE);
+    let plan = model.graph.plan().expect("valid graph");
+    let mut shared = raella_nn::graph::ValueArena::new();
+    let mut engine = RecordingEngine::default();
+    let mut first_capacity = None;
+    for seed in 0..4 {
+        let image = model.sample_image(seed);
+        let out = model
+            .graph
+            .run_planned(&plan, &image, &mut engine, &mut shared)
+            .expect("runs");
+        let capacity = shared.act_scratch_capacity();
+        let first = *first_capacity.get_or_insert(capacity);
+        assert!(
+            first >= engine.peak && engine.peak > 0,
+            "scratch capacity {first} below the largest layer's {} activations",
+            engine.peak
+        );
+        assert_eq!(capacity, first, "image {seed} regrew the scratch");
+        let fresh = model
+            .graph
+            .run_planned(
+                &plan,
+                &image,
+                &mut ReferenceEngine,
+                &mut raella_nn::graph::ValueArena::new(),
+            )
+            .expect("runs");
+        assert_eq!(out, fresh, "image {seed}: shared arena changed the output");
     }
 }

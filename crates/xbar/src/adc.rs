@@ -30,14 +30,6 @@ impl AdcSpec {
         }
     }
 
-    /// ISAAC's 8b unsigned ADC: range `[0, 256)`.
-    pub fn isaac_8b() -> Self {
-        AdcSpec {
-            bits: 8,
-            signed: false,
-        }
-    }
-
     /// Creates a spec.
     ///
     /// # Panics
@@ -73,17 +65,6 @@ impl AdcSpec {
     /// at the rails outside (step size 1 — the LSB-capture policy).
     pub fn convert(&self, sum: i64) -> i64 {
         sum.clamp(self.min(), self.max())
-    }
-
-    /// Converts a panel of analog column sums in place: each sum is
-    /// clamped exactly as [`AdcSpec::convert`] would clamp it. This is the
-    /// panel-wide entry point for kernels that read many columns per
-    /// cycle — the rail values are resolved once for the whole panel.
-    pub fn convert_panel(&self, sums: &mut [i64]) {
-        let (min, max) = (self.min(), self.max());
-        for s in sums.iter_mut() {
-            *s = (*s).clamp(min, max);
-        }
     }
 
     /// Whether a conversion saturated (output pinned at either rail).
@@ -142,26 +123,12 @@ mod tests {
 
     #[test]
     fn unsigned_adc_clamps_below_zero() {
-        let adc = AdcSpec::isaac_8b();
+        let adc = AdcSpec::new(8, false);
         assert_eq!(adc.min(), 0);
         assert_eq!(adc.max(), 255);
         assert_eq!(adc.convert(-5), 0);
         assert_eq!(adc.convert(300), 255);
         assert_eq!(adc.convert(128), 128);
-    }
-
-    #[test]
-    fn convert_panel_matches_scalar_convert() {
-        for adc in [AdcSpec::raella_7b(), AdcSpec::isaac_8b()] {
-            let sums: Vec<i64> = (-300..=300).step_by(7).collect();
-            let mut panel = sums.clone();
-            adc.convert_panel(&mut panel);
-            for (&s, &p) in sums.iter().zip(&panel) {
-                assert_eq!(p, adc.convert(s), "{adc:?} on {s}");
-            }
-        }
-        // Empty panels are fine.
-        AdcSpec::raella_7b().convert_panel(&mut []);
     }
 
     #[test]

@@ -9,40 +9,12 @@ pub enum XbarError {
     /// A slicing was malformed (zero-width slice, over-wide slice, or the
     /// widths do not cover the operand).
     InvalidSlicing(String),
-    /// A value does not fit in the device/DAC/ADC it was given to.
-    ValueOutOfRange {
-        /// What was being programmed or converted.
-        what: &'static str,
-        /// The offending value.
-        value: i64,
-        /// The allowed inclusive maximum magnitude.
-        limit: i64,
-    },
-    /// A row/column index was outside the array.
-    IndexOutOfRange {
-        /// Which axis.
-        axis: &'static str,
-        /// The offending index.
-        index: usize,
-        /// The array extent on that axis.
-        extent: usize,
-    },
 }
 
 impl fmt::Display for XbarError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             XbarError::InvalidSlicing(msg) => write!(f, "invalid slicing: {msg}"),
-            XbarError::ValueOutOfRange { what, value, limit } => {
-                write!(f, "{what} value {value} exceeds limit {limit}")
-            }
-            XbarError::IndexOutOfRange {
-                axis,
-                index,
-                extent,
-            } => {
-                write!(f, "{axis} index {index} out of range (extent {extent})")
-            }
         }
     }
 }
@@ -57,11 +29,7 @@ mod tests {
     fn error_is_send_sync_and_displays() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<XbarError>();
-        let e = XbarError::ValueOutOfRange {
-            what: "device",
-            value: 16,
-            limit: 15,
-        };
-        assert!(e.to_string().contains("16"));
+        let e = XbarError::InvalidSlicing("widths sum to 9, not 8".into());
+        assert_eq!(e.to_string(), "invalid slicing: widths sum to 9, not 8");
     }
 }

@@ -98,11 +98,6 @@ impl DeviceLifetime {
         self.drift_rate > 0.0 && self.drift_interval > 0
     }
 
-    /// Whether any lifetime effect is active.
-    pub fn is_active(&self) -> bool {
-        self.programming_sigma > 0.0 || self.is_drifting()
-    }
-
     /// The drift epoch a device at `age` served vectors is in. Always 0
     /// when drift is disabled.
     pub fn drift_epoch(&self, age: u64) -> u64 {
@@ -134,7 +129,6 @@ mod tests {
     fn disabled_is_inert() {
         let lt = DeviceLifetime::disabled();
         assert!(!lt.is_drifting());
-        assert!(!lt.is_active());
         assert_eq!(lt.drift_epoch(1_000_000), 0);
         assert_eq!(lt.relaxation_sigma(7), 0.0);
         assert_eq!(lt, DeviceLifetime::default());
@@ -155,7 +149,6 @@ mod tests {
     fn zero_interval_never_drifts() {
         let lt = DeviceLifetime::new(0.5, 0.02, 0);
         assert!(!lt.is_drifting());
-        assert!(lt.is_active(), "programming error alone is active");
         assert_eq!(lt.drift_epoch(u64::MAX), 0);
         assert_eq!(lt.relaxation_sigma(9), 0.0);
     }

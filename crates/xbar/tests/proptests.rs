@@ -1,9 +1,8 @@
-//! Property-based tests for sliced arithmetic, ADCs, and devices.
+//! Property-based tests for sliced arithmetic and ADCs.
 
 use proptest::prelude::*;
 
 use raella_xbar::adc::AdcSpec;
-use raella_xbar::crossbar::SignedCrossbar;
 use raella_xbar::slicing::{crop_signed, Slicing};
 
 /// An arbitrary valid slicing of 8 bits into ≤4b slices.
@@ -77,28 +76,5 @@ proptest! {
         if a >= adc.min() && a <= adc.max() {
             prop_assert_eq!(ca, a);
         }
-    }
-
-    /// A 2T2R column sum equals the signed integer dot product.
-    #[test]
-    fn crossbar_column_matches_dot_product(
-        weights in prop::collection::vec(-15i32..=15, 1..64),
-        seed in 0u64..1000,
-    ) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let rows = weights.len();
-        let mut xbar = SignedCrossbar::new(rows, 1, 4);
-        for (r, &w) in weights.iter().enumerate() {
-            let (pos, neg) = if w >= 0 { (w as u8, 0) } else { (0, (-w) as u8) };
-            xbar.program(r, 0, pos, neg);
-        }
-        let inputs: Vec<u16> = (0..rows).map(|_| rng.gen_range(0..=15u16)).collect();
-        let expected: i64 = inputs
-            .iter()
-            .zip(&weights)
-            .map(|(&x, &w)| i64::from(x) * i64::from(w))
-            .sum();
-        prop_assert_eq!(xbar.column_sum(0, &inputs), expected);
     }
 }

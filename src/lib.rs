@@ -8,8 +8,8 @@
 //!
 //! * [`nn`] — quantized DNN substrate (tensors, per-channel 8b quantization,
 //!   conv/linear layers, synthetic model zoo for the seven evaluated DNNs).
-//! * [`xbar`] — ReRAM crossbar simulator (2T2R devices, pulse DACs,
-//!   saturating low-resolution ADCs, sliced arithmetic, analog noise).
+//! * [`xbar`] — ReRAM crossbar arithmetic (sliced arithmetic, saturating
+//!   low-resolution ADCs, analog noise, device lifetime, event counts).
 //! * [`core`] — RAELLA's contribution: Center+Offset encoding, Adaptive
 //!   Weight Slicing, Dynamic Input Slicing, the execution engine, the
 //!   compile-once/run-batch layer (`core::model::CompiledModel`), and the

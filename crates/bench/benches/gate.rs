@@ -43,11 +43,15 @@ use raella_nn::synth::SynthLayer;
 use raella_nn::tensor::Tensor;
 use raella_xbar::slicing::Slicing;
 
-/// Single-thread mini_resnet18 ceiling per image. 25 gate runs of the
-/// lane-wide, AVX2-dispatched kernel on a shared 2-vCPU x86-64 host with
-/// AVX2, spread over slow and fast phases of the host, measured medians
-/// of 2.25–5.47 ms/image (median of the 25: 3.14 ms); the ceiling is 3×
-/// that.
+/// Single-thread mini_resnet18 ceiling per image: 3× the median of 25
+/// gate runs on a shared 2-vCPU x86-64 host with AVX2, and never raised.
+/// The lane-wide, AVX2-dispatched kernel's runs, spread over slow and
+/// fast phases of the host, measured medians of 2.25–5.47 ms/image
+/// (median of the 25: 3.14 ms), which set 9.4 ms. With ideal-device
+/// recovery summed lane-wide from the compacted rows, 25 runs measured
+/// 1.99–3.96 ms/image (median 3.18 ms) in a slower phase of the host,
+/// where 25 interleaved runs of the previous kernel read a median of
+/// 4.36 ms; 3× is 9.54 ms, so the ceiling stays at 9.4 ms.
 const SINGLE_THREAD_CEILING: Duration = Duration::from_micros(9_400);
 /// Images (and rounds over them) timed for the single-thread ceiling.
 const SINGLE_THREAD_IMAGES: usize = 16;

@@ -72,10 +72,17 @@
 //!    ideal device a read draws nothing and every counter is a sum, so
 //!    the order is free: one lane-wide pass per (weight slice, window)
 //!    clamps the whole panel's sums, shift-adds them into per-lane
-//!    totals and marks rail hits in a bit mask, and only the marked lanes
-//!    are then recovered. Recovery reads a failed window's upper bits
-//!    straight from the magnitude plane and derives its lowest bit from
-//!    the window's sums by linearity.
+//!    totals and marks rail hits in a bit mask. If any of a slice's
+//!    windows hit a rail, one more pass over the group's compacted rows
+//!    sums every recovery bit (7, 6 and 5 of the 4b window, 3 and 1 of
+//!    the 2b windows) for the whole panel: each row's entry carries a
+//!    precomputed `0`/`0xFFFF` mask per bit, so the pass ANDs the packed
+//!    level row with each mask and adds, in exact 16-bit lanes. Each
+//!    marked lane then swaps its rail value for its recovered window;
+//!    converts and saturations are counted in bulk. A noisy recovery
+//!    instead re-reads the failed window's upper bits from the dense
+//!    magnitude plane, column by column. Both derive a window's lowest
+//!    bit from the window's own sums by linearity.
 //!
 //! Device charge — `Σ mass·|level|` over every row, column and cycle — is
 //! charged per row, from the compiled per-row level magnitude sums
@@ -108,7 +115,7 @@ use raella_xbar::slicing::Slice;
 use crate::compiler::{CompiledLayer, SharedCompileCache, PANEL_WIDTH};
 use crate::config::{InputMode, RaellaConfig, INPUT_BITS, MAX_CELL_BITS, SPEC_WINDOWS};
 use crate::parallel::{run_blocks, worker_count};
-use crate::scratch::{Entry, Split, VectorScratch};
+use crate::scratch::{Entry, Split, VectorScratch, RECOVERY_BITS};
 
 /// Statistics accumulated while running layers on RAELLA.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -345,14 +352,9 @@ fn fuse_chunk<const W: usize, const NOISY: bool, const C: usize>(
 
 /// `(Σ bit_b(x)·l, Σ bit_b(x)·|l|)` of one column for the `BITS` bits
 /// above bit `l` (`[b − l − 1]`), read straight from the magnitude plane
-/// in one pass of exact 16-bit [`BIT_BLOCK`]s; absolute sums only if
-/// `NOISY`.
+/// in one pass of exact 16-bit [`BIT_BLOCK`]s.
 #[inline(always)]
-fn upper_bit_sums<const BITS: usize, const NOISY: bool>(
-    plane: &[u16],
-    levels: &[i16],
-    l: u32,
-) -> [(i64, i64); 3] {
+fn upper_bit_sums<const BITS: usize>(plane: &[u16], levels: &[i16], l: u32) -> [(i64, i64); 3] {
     let mut sums = [(0i64, 0i64); 3];
     for (xb, lb) in plane.chunks(BIT_BLOCK).zip(levels.chunks(BIT_BLOCK)) {
         let (mut w, mut a) = ([0u16; BITS], [0u16; BITS]);
@@ -360,9 +362,7 @@ fn upper_bit_sums<const BITS: usize, const NOISY: bool>(
             for k in 0..BITS {
                 let bit = (x >> (l + 1 + k as u32)) & 1;
                 w[k] = w[k].wrapping_add(bit.wrapping_mul(lv as u16));
-                if NOISY {
-                    a[k] = a[k].wrapping_add(bit.wrapping_mul(lv.unsigned_abs()));
-                }
+                a[k] = a[k].wrapping_add(bit.wrapping_mul(lv.unsigned_abs()));
             }
         }
         for k in 0..BITS {
@@ -371,6 +371,103 @@ fn upper_bit_sums<const BITS: usize, const NOISY: bool>(
         }
     }
     sums
+}
+
+/// Per-lane signed sums `Σ bit_b(x)·level` of every [`RECOVERY_BITS`] bit
+/// `b`, one row per bit.
+type BitSums = [[i32; PANEL_WIDTH]; RECOVERY_BITS.len()];
+
+/// The ideal device's recovery reads for one weight slice of one panel
+/// block: a pass over the row group's compacted entries (`row0` is the
+/// group's first layer row) that loads each packed level row of `data`
+/// (`bw` lanes) once and adds it, ANDed with the entry's precomputed bit
+/// masks, into every [`RECOVERY_BITS`] sum of `sums[..][..bw]`. Per
+/// [`BIT_BLOCK`] entries and per [`CHUNK`] lanes, the sums stay in exact
+/// `u16` registers and widen once.
+#[inline(always)]
+fn recovery_bit_sums(entries: &[Entry], row0: usize, data: &[i16], bw: usize, sums: &mut BitSums) {
+    for bit in sums.iter_mut() {
+        bit[..bw].fill(0);
+    }
+    for block in entries.chunks(BIT_BLOCK) {
+        for c0 in (0..bw).step_by(CHUNK) {
+            let lanes = (bw - c0).min(CHUNK);
+            let chunk = if lanes == CHUNK {
+                bit_chunk::<CHUNK>(block, row0, data, bw, c0, lanes)
+            } else {
+                bit_chunk::<0>(block, row0, data, bw, c0, lanes)
+            };
+            for (bit, b) in sums.iter_mut().zip(&chunk) {
+                for (d, &b) in bit[c0..c0 + lanes].iter_mut().zip(b) {
+                    *d += i32::from(b as i16);
+                }
+            }
+        }
+    }
+}
+
+/// One entry block × lanes `c0..c0 + lanes` of [`recovery_bit_sums`]
+/// (`C`: the lane count at compile time, `0` when known only at run
+/// time).
+#[inline(always)]
+fn bit_chunk<const C: usize>(
+    block: &[Entry],
+    row0: usize,
+    data: &[i16],
+    bw: usize,
+    c0: usize,
+    lanes: usize,
+) -> [[u16; CHUNK]; RECOVERY_BITS.len()] {
+    let lanes = if C == 0 { lanes } else { C };
+    let mut sums = [[0u16; CHUNK]; RECOVERY_BITS.len()];
+    for e in block {
+        let at = (e.row as usize - row0) * bw + c0;
+        let row = &data[at..at + lanes];
+        for (acc, &mask) in sums.iter_mut().zip(e.recovery_masks()) {
+            for (a, &l) in acc.iter_mut().zip(row) {
+                *a = a.wrapping_add(mask & l as u16);
+            }
+        }
+    }
+    sums
+}
+
+/// Recovery on the ideal lane-wide path, for one speculative window of a
+/// panel: every lane in `failed` swaps the rail value speculation added
+/// to its total for the window's bit-serial re-read, MSB first. The
+/// window's upper bits come from `bits` (its rows of a [`BitSums`]), the
+/// lowest from the window sum `sums[lane]` by linearity, as in
+/// [`recover_window`]. Returns the re-reads that saturated.
+#[inline(always)]
+fn recover_lanes(
+    failed: u64,
+    sums: &[i32],
+    bits: &[[i32; PANEL_WIDTH]],
+    window: Slice,
+    w_shift: u32,
+    (lo, hi): (i32, i32),
+    totals: &mut [i64],
+) -> u64 {
+    let (lo, hi) = (i64::from(lo), i64::from(hi));
+    let mut saturations = 0u64;
+    let mut walk = failed;
+    while walk != 0 {
+        let i = walk.trailing_zeros() as usize;
+        walk &= walk - 1;
+        let mut w = i64::from(sums[i]);
+        let mut total = -(w.clamp(lo, hi) << (w_shift + window.l));
+        for (bit, b) in bits.iter().zip((window.l + 1..=window.h).rev()) {
+            let r = i64::from(bit[i]);
+            w -= r << (b - window.l);
+            let out = r.clamp(lo, hi);
+            saturations += u64::from(out == lo || out == hi);
+            total += out << (w_shift + b);
+        }
+        let out = w.clamp(lo, hi);
+        saturations += u64::from(out == lo || out == hi);
+        totals[i] += total + (out << (w_shift + window.l));
+    }
+    saturations
 }
 
 /// Converts one recovery read and counts it. A saturation is accepted and
@@ -386,11 +483,11 @@ fn recovery_convert(cfg: &RaellaConfig, sum: i64, stats: &mut RunStats) -> i64 {
     out
 }
 
-/// Recovery on the panel path: re-runs one failed speculative window
-/// bit-serially, converting this column on every bit cycle, MSB first.
-/// Bits above the window's lowest are summed from `plane` in one pass;
-/// the lowest is derived from the window's own sums `(w, a)`, since the
-/// window value is `Σ_b 2^{b−l}·bit_b` and so `r_l = w − Σ_{b>l}
+/// Recovery on the noisy panel path: re-runs one failed speculative
+/// window bit-serially, converting this column on every bit cycle, MSB
+/// first. Bits above the window's lowest are summed from `plane` in one
+/// pass; the lowest is derived from the window's own sums `(w, a)`, since
+/// the window value is `Σ_b 2^{b−l}·bit_b` and so `r_l = w − Σ_{b>l}
 /// 2^{b−l}·r_b` for the signed and the absolute sums alike. One noise
 /// draw per bit, in order.
 #[inline(always)]
@@ -406,11 +503,9 @@ fn recover_window(
     stats: &mut RunStats,
     rng: &mut NoiseRng,
 ) -> i64 {
-    let sums = match (window.width(), noise.is_ideal()) {
-        (4, true) => upper_bit_sums::<3, false>(plane, levels, window.l),
-        (4, false) => upper_bit_sums::<3, true>(plane, levels, window.l),
-        (2, true) => upper_bit_sums::<1, false>(plane, levels, window.l),
-        (2, false) => upper_bit_sums::<1, true>(plane, levels, window.l),
+    let sums = match window.width() {
+        4 => upper_bit_sums::<3>(plane, levels, window.l),
+        2 => upper_bit_sums::<1>(plane, levels, window.l),
         _ => unreachable!("speculative windows are 4b or 2b"),
     };
     let mut total = 0i64;
@@ -787,6 +882,7 @@ fn vector_groups(
     let (adc_min, adc_max) = (cfg.adc.min(), cfg.adc.max());
     let narrow = |rail: i64| rail.clamp(i32::MIN.into(), i32::MAX.into()) as i32;
     let rails = (narrow(adc_min), narrow(adc_max));
+    let mut bit_sums: BitSums = [[0; PANEL_WIDTH]; RECOVERY_BITS.len()];
 
     for gi in groups.clone() {
         debug_assert_uniform_geometry(layer, gi);
@@ -925,33 +1021,46 @@ fn vector_groups(
                     for (s, &w_shift) in shifts.iter().enumerate() {
                         match cfg.input_mode {
                             InputMode::Speculative => {
+                                let mut failed = [0u64; SPEC_WINDOWS.len()];
                                 for (j, window) in SPEC_WINDOWS.iter().enumerate() {
                                     let at = (s * windows + j) * PANEL_WIDTH;
-                                    let sums = &wsum[at..at + bw];
                                     let shift = w_shift + window.shift();
-                                    let failed = convert_lanes(sums, rails, shift, totals);
-                                    stats.spec_failures += u64::from(failed.count_ones());
-                                    // Speculation failed: swap the rail
-                                    // for a 1b-slice recovery of the
-                                    // window.
-                                    let mut walk = failed;
-                                    while walk != 0 {
-                                        let i = walk.trailing_zeros() as usize;
-                                        walk &= walk - 1;
-                                        let w = sums[i];
-                                        totals[i] -= i64::from(w.clamp(rails.0, rails.1)) << shift;
-                                        totals[i] += recover_window(
-                                            cfg,
-                                            &noise,
-                                            gplane,
-                                            &layer.groups()[f0 + i][gi].levels[s],
-                                            (w.into(), 0),
-                                            w_shift,
-                                            *window,
-                                            &mut stats,
-                                            rng,
-                                        );
-                                    }
+                                    failed[j] =
+                                        convert_lanes(&wsum[at..at + bw], rails, shift, totals);
+                                }
+                                if failed == [0; SPEC_WINDOWS.len()] {
+                                    continue;
+                                }
+                                // Speculation failed: one pass over the
+                                // rows sums every recovery bit of the
+                                // slice, and each failed lane swaps its
+                                // rail for a 1b-slice recovery.
+                                recovery_bit_sums(
+                                    gentries,
+                                    range.start,
+                                    panel.block(s, p, bw),
+                                    bw,
+                                    &mut bit_sums,
+                                );
+                                let mut bits = &bit_sums[..];
+                                for (j, window) in SPEC_WINDOWS.iter().enumerate() {
+                                    let (own, rest) = bits.split_at(window.width() as usize - 1);
+                                    bits = rest;
+                                    let lanes = u64::from(failed[j].count_ones());
+                                    let reads = lanes * u64::from(window.width());
+                                    stats.spec_failures += lanes;
+                                    stats.events.adc_converts += reads;
+                                    stats.recovery_converts += reads;
+                                    let at = (s * windows + j) * PANEL_WIDTH;
+                                    stats.recovery_saturations += recover_lanes(
+                                        failed[j],
+                                        &wsum[at..at + bw],
+                                        own,
+                                        *window,
+                                        w_shift,
+                                        rails,
+                                        totals,
+                                    );
                                 }
                             }
                             InputMode::BitSerial => {
@@ -1408,6 +1517,7 @@ impl MatVecEngine for RaellaEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::SPEC_ENTRIES;
     use raella_nn::synth::SynthLayer;
     use raella_xbar::adc::AdcSpec;
     use raella_xbar::slicing::Slicing;
@@ -1678,6 +1788,72 @@ mod tests {
                                     "dispatched: {case}"
                                 );
                             }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The ideal device's lane-wide recovery pass must equal the dense
+    /// per-lane definition the noisy path keeps ([`upper_bit_sums`]) for
+    /// every recovery bit, MSB first (7, 6, 5 of the 4b window, 3 and 1 of
+    /// the 2b windows). Covers panel widths with partial 16-lane chunks
+    /// (6, 40), ±31 levels under all-255 inputs (each bit sum at the
+    /// 16-bit bound of a full block), and groups of fewer and of more
+    /// than [`BIT_BLOCK`] nonzero rows (all-255 inputs on 2,148 rows span
+    /// three blocks).
+    #[test]
+    fn recovery_bit_sums_match_the_dense_per_lane_definition() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let row0 = 3;
+        for rows in [150, 2 * BIT_BLOCK + 100] {
+            for bw in [6, 16, 40, 64] {
+                for extreme in [false, true] {
+                    let plane: Vec<u16> = (0..rows)
+                        .map(|_| match (extreme, next(5)) {
+                            (true, _) => 255,
+                            (false, 0 | 1) => 0,
+                            (false, _) => next(256) as u16,
+                        })
+                        .collect();
+                    let data: Vec<i16> = (0..rows * bw)
+                        .map(|i| match extreme {
+                            true if i % bw % 2 == 0 => 31,
+                            true => -31,
+                            false => next(63) as i16 - 31,
+                        })
+                        .collect();
+                    let entries: Vec<Entry> = (0..rows)
+                        .filter(|&r| plane[r] != 0)
+                        .map(|r| Entry {
+                            row: (row0 + r) as u32,
+                            ..SPEC_ENTRIES[usize::from(plane[r])]
+                        })
+                        .collect();
+                    assert_eq!(entries.len() > BIT_BLOCK, rows > BIT_BLOCK);
+                    let mut sums: BitSums = [[i32::MAX; PANEL_WIDTH]; RECOVERY_BITS.len()];
+                    recovery_bit_sums(&entries, row0, &data, bw, &mut sums);
+                    for lane in 0..bw {
+                        let column: Vec<i16> = (0..rows).map(|r| data[r * bw + lane]).collect();
+                        let (upper4, upper3, upper1) = (
+                            upper_bit_sums::<3>(&plane, &column, 4),
+                            upper_bit_sums::<1>(&plane, &column, 2),
+                            upper_bit_sums::<1>(&plane, &column, 0),
+                        );
+                        let dense = [upper4[2], upper4[1], upper4[0], upper3[0], upper1[0]];
+                        for (k, (bit, &(want, _))) in sums.iter().zip(&dense).enumerate() {
+                            assert_eq!(
+                                i64::from(bit[lane]),
+                                want,
+                                "rows {rows} bw {bw} extreme {extreme} lane {lane} bit #{k}"
+                            );
                         }
                     }
                 }

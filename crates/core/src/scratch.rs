@@ -28,13 +28,50 @@ pub(crate) struct Entry {
     pub(crate) mass: u16,
     /// Cycles that activate this row (nonzero windows plus set bits).
     pub(crate) active: u16,
-    /// Input window values, MSB first: the three speculative windows, or
-    /// the eight bits in bit-serial mode.
+    /// Input window values, MSB first: the three speculative windows
+    /// followed by one `0`/`0xFFFF` mask per [`RECOVERY_BITS`] bit, or the
+    /// eight bits in bit-serial mode.
     pub(crate) win: [u16; INPUT_BITS],
 }
 
+/// The input bits an ideal-device recovery reads from the compacted rows,
+/// MSB first: every speculative window's bits above its lowest (the
+/// lowest follows from the window's own sum by linearity). They fill the
+/// window slots speculation leaves spare, one mask each.
+pub(crate) const RECOVERY_BITS: [u32; INPUT_BITS - SPEC_WINDOWS.len()] = recovery_bits();
+
+const fn recovery_bits() -> [u32; INPUT_BITS - SPEC_WINDOWS.len()] {
+    let mut bits = [0; INPUT_BITS - SPEC_WINDOWS.len()];
+    let (mut j, mut k) = (0, 0);
+    while j < SPEC_WINDOWS.len() {
+        let mut b = SPEC_WINDOWS[j].h;
+        while b > SPEC_WINDOWS[j].l {
+            bits[k] = b;
+            k += 1;
+            b -= 1;
+        }
+        j += 1;
+    }
+    assert!(
+        k == bits.len(),
+        "recovery bits must fill the spare window slots"
+    );
+    bits
+}
+
+impl Entry {
+    /// The row's [`RECOVERY_BITS`] as `0`/`0xFFFF` lane masks
+    /// (speculative mode only).
+    #[inline(always)]
+    pub(crate) fn recovery_masks(&self) -> &[u16; RECOVERY_BITS.len()] {
+        self.win[SPEC_WINDOWS.len()..]
+            .try_into()
+            .expect("recovery masks fill the spare window slots")
+    }
+}
+
 /// Every 8b magnitude's speculative-mode entry (row 0).
-static SPEC_ENTRIES: [Entry; 1 << INPUT_BITS] = entry_table(InputMode::Speculative);
+pub(crate) static SPEC_ENTRIES: [Entry; 1 << INPUT_BITS] = entry_table(InputMode::Speculative);
 /// Every 8b magnitude's bit-serial-mode entry (row 0).
 static BIT_SERIAL_ENTRIES: [Entry; 1 << INPUT_BITS] = entry_table(InputMode::BitSerial);
 
@@ -61,6 +98,11 @@ const fn entry_table(mode: InputMode) -> [Entry; 1 << INPUT_BITS] {
                     e.mass += e.win[j];
                     e.active += (e.win[j] != 0) as u16;
                     j += 1;
+                }
+                let mut k = 0;
+                while k < RECOVERY_BITS.len() {
+                    e.win[SPEC_WINDOWS.len() + k] = 0u16.wrapping_sub((v >> RECOVERY_BITS[k]) & 1);
+                    k += 1;
                 }
                 e.mass += bits;
                 e.active += bits;
@@ -249,7 +291,7 @@ mod tests {
                     InputMode::Speculative => {
                         let win = [(x >> 4) & 0xF, (x >> 2) & 0x3, x & 0x3];
                         assert_eq!(e.win[..3], win);
-                        assert!(e.win[3..].iter().all(|&v| v == 0));
+                        assert_eq!(e.win[3..], recovery_masks(x));
                         assert_eq!(e.mass, win.iter().sum::<u16>() + bits);
                         let nonzero = win.iter().filter(|&&v| v != 0).count() as u16;
                         assert_eq!(e.active, nonzero + bits);
@@ -263,6 +305,21 @@ mod tests {
                 }
             }
         }
+        // Every 8b value's recovery masks, bit-serial mode's bit slots
+        // untouched by them.
+        for x in 0..1u16 << INPUT_BITS {
+            let e = &SPEC_ENTRIES[usize::from(x)];
+            assert_eq!(e.recovery_masks(), &recovery_masks(x), "value {x}");
+            assert_eq!(
+                BIT_SERIAL_ENTRIES[usize::from(x)].win[3..],
+                [4, 3, 2, 1, 0].map(|b| x >> b & 1)
+            );
+        }
+    }
+
+    /// Bits 7, 6, 5 (4b window), 3 and 1 (2b windows) of `x`, as masks.
+    fn recovery_masks(x: u16) -> [u16; 5] {
+        [7, 6, 5, 3, 1].map(|b| if x >> b & 1 == 1 { 0xFFFF } else { 0 })
     }
 
     #[test]

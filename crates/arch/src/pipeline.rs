@@ -60,14 +60,6 @@ pub struct PipelineReport {
     pub layers: Vec<LayerSchedule>,
 }
 
-impl PipelineReport {
-    /// Whether every inter-layer buffer fits the given per-tile eDRAM
-    /// capacity (the paper's 64 kB tiles, §5.3).
-    pub fn fits_edram(&self, capacity_bytes: usize) -> bool {
-        self.peak_buffer_bytes <= capacity_bytes
-    }
-}
-
 /// Simulates the row pipeline for a network on an architecture, given the
 /// per-layer replication from [`crate::eval::evaluate_dnn`] (pass all-ones
 /// for an unreplicated pipeline).
@@ -270,7 +262,7 @@ mod tests {
         let eval = evaluate_dnn(&spec, &net);
         let report = simulate(&spec, &net, &eval.replicas);
         assert!(
-            report.fits_edram(64 * 1024),
+            report.peak_buffer_bytes <= 64 * 1024,
             "peak buffer {} bytes exceeds 64 kB",
             report.peak_buffer_bytes
         );

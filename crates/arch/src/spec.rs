@@ -273,12 +273,6 @@ impl AccelSpec {
         tiles * self.tile.imas * self.tile.crossbars_per_ima
     }
 
-    /// Tiles available in the area budget.
-    pub fn total_tiles(&self) -> usize {
-        let areas = raella_energy::area::ComponentAreas::cmos_32nm();
-        self.tile.tiles_in_budget(&areas, self.area_budget_mm2)
-    }
-
     /// Passes a layer's inputs require on this architecture: 2 when the
     /// inputs are signed and the hardware splits them into positive and
     /// negative planes (RAELLA), 1 otherwise.
@@ -320,8 +314,10 @@ mod tests {
 
     #[test]
     fn paper_tile_counts_emerge_from_area() {
-        assert!((650..=850).contains(&AccelSpec::raella().total_tiles()));
-        assert!((900..=1200).contains(&AccelSpec::isaac().total_tiles()));
+        let areas = raella_energy::area::ComponentAreas::cmos_32nm();
+        let tiles = |spec: AccelSpec| spec.tile.tiles_in_budget(&areas, spec.area_budget_mm2);
+        assert!((650..=850).contains(&tiles(AccelSpec::raella())));
+        assert!((900..=1200).contains(&tiles(AccelSpec::isaac())));
     }
 
     #[test]

@@ -16,8 +16,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::spec::AccelSpec;
-
 /// Crossbar geometry of one simulated accelerator tile.
 ///
 /// `rows` is the row budget a single crossbar of the tile offers one
@@ -48,14 +46,6 @@ impl TileSpec {
         TileSpec {
             rows: 512,
             cols: 512,
-        }
-    }
-
-    /// The tile geometry of an [`AccelSpec`] (its crossbar dimensions).
-    pub fn from_accel(spec: &AccelSpec) -> Self {
-        TileSpec {
-            rows: spec.rows,
-            cols: spec.cols,
         }
     }
 
@@ -92,12 +82,6 @@ mod tests {
         assert_eq!((tile.rows, tile.cols), (512, 512));
         assert_eq!(tile, TileSpec::raella());
         assert_eq!(tile.cells_per_crossbar(), 512 * 512);
-    }
-
-    #[test]
-    fn from_accel_takes_crossbar_dims() {
-        let isaac = TileSpec::from_accel(&AccelSpec::isaac());
-        assert_eq!((isaac.rows, isaac.cols), (128, 128));
     }
 
     #[test]

@@ -119,17 +119,6 @@ pub fn optimal_center(weights: &[u8], slicing: &Slicing) -> i32 {
     best_phi
 }
 
-/// Per-filter centers for a whole layer (one dot product each — §4.1.3:
-/// coarser granularities cannot balance every filter's distribution).
-pub fn optimal_centers(
-    filters: impl Iterator<Item = impl AsRef<[u8]>>,
-    slicing: &Slicing,
-) -> Vec<i32> {
-    filters
-        .map(|f| optimal_center(f.as_ref(), slicing))
-        .collect()
-}
-
 fn histogram(weights: &[u8]) -> [u32; 256] {
     let mut hist = [0u32; 256];
     for &w in weights {
@@ -259,16 +248,6 @@ mod tests {
         let phi = optimal_center(&ws, &slicing);
         assert_eq!(phi, 200, "all offsets zero is the global optimum");
         assert_eq!(center_cost(&ws, &slicing, phi), 0.0);
-    }
-
-    #[test]
-    fn optimal_centers_matches_per_filter_solve() {
-        let slicing = Slicing::raella_default_weights();
-        let f1 = gaussian_filter(10.0, 20.0, 128, 7);
-        let f2 = gaussian_filter(-15.0, 20.0, 128, 8);
-        let all = optimal_centers([&f1, &f2].iter(), &slicing);
-        assert_eq!(all[0], optimal_center(&f1, &slicing));
-        assert_eq!(all[1], optimal_center(&f2, &slicing));
     }
 
     #[test]

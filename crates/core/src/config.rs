@@ -59,8 +59,6 @@ pub struct RaellaConfig {
     pub cell_bits: u8,
     /// The column-sum ADC (7b signed in the paper).
     pub adc: AdcSpec,
-    /// Bits per input DAC slice (4 in the paper).
-    pub dac_bits: u8,
     /// Weight encoding strategy.
     pub encoding: WeightEncoding,
     /// Encoding used *during the slicing search* when it should differ
@@ -92,15 +90,15 @@ pub struct RaellaConfig {
 
 impl Default for RaellaConfig {
     /// The paper's standard configuration: 512×512 2T2R crossbar, 4b cells,
-    /// 7b signed ADC, 4b pulse-train DACs, Center+Offset, speculation on,
-    /// error budget 0.09, ten search vectors, no analog noise.
+    /// 7b signed ADC, Center+Offset, speculation on (the input windows are
+    /// fixed at 4b-2b-2b), error budget 0.09, ten search vectors, no analog
+    /// noise.
     fn default() -> Self {
         RaellaConfig {
             crossbar_rows: 512,
             crossbar_cols: 512,
             cell_bits: 4,
             adc: AdcSpec::raella_7b(),
-            dac_bits: 4,
             encoding: WeightEncoding::CenterOffset,
             search_encoding: None,
             input_mode: InputMode::Speculative,
@@ -121,9 +119,9 @@ impl RaellaConfig {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] on a zero-sized crossbar, a
-    /// cell rating outside 1–5 bits, a DAC rating outside 1–8 bits, a
-    /// non-finite or negative error budget, zero search vectors, or a
-    /// fixed slicing whose widths exceed the cell rating.
+    /// cell rating outside 1–5 bits, a non-finite or negative error
+    /// budget, zero search vectors, or a fixed slicing whose widths exceed
+    /// the cell rating.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.crossbar_rows == 0 || self.crossbar_cols == 0 {
             return Err(CoreError::InvalidConfig(format!(
@@ -135,12 +133,6 @@ impl RaellaConfig {
             return Err(CoreError::InvalidConfig(format!(
                 "cell bits {} outside 1–{MAX_CELL_BITS}",
                 self.cell_bits
-            )));
-        }
-        if !(1..=8).contains(&self.dac_bits) {
-            return Err(CoreError::InvalidConfig(format!(
-                "dac bits {} outside 1–8",
-                self.dac_bits
             )));
         }
         if !self.error_budget.is_finite() || self.error_budget < 0.0 {

@@ -132,12 +132,7 @@ impl CompiledModel {
     /// library — deterministic: construction reads only the compiled
     /// geometry, so equal configurations always yield equal meters.
     pub fn energy_meter(&self) -> EnergyMeter {
-        self.energy_meter_with(&ComponentPrices::cmos_32nm())
-    }
-
-    /// [`CompiledModel::energy_meter`] under an explicit price library.
-    pub fn energy_meter_with(&self, prices: &ComponentPrices) -> EnergyMeter {
-        EnergyMeter::new(prices, &self.meter_geometry())
+        EnergyMeter::new(&ComponentPrices::cmos_32nm(), &self.meter_geometry())
     }
 
     /// Prices one run's statistics under the default price library.
@@ -196,16 +191,11 @@ impl CompiledModel {
     /// slicing variants of one model only the column count varies, so
     /// the estimate orders variants exactly as their ADC work does.
     pub fn estimated_vector_pj(&self) -> f64 {
-        self.estimated_vector_pj_with(&ComponentPrices::cmos_32nm())
-    }
-
-    /// [`CompiledModel::estimated_vector_pj`] under an explicit price
-    /// library.
-    pub fn estimated_vector_pj_with(&self, prices: &ComponentPrices) -> f64 {
         let layers = self.compiled_layers();
         if layers.is_empty() {
             return 0.0;
         }
+        let prices = ComponentPrices::cmos_32nm();
         let cfg = self.config();
         let passes = cfg.cycles_per_psum_set() as f64;
         let adc = prices.adc_convert_pj(cfg.adc.bits);

@@ -1470,12 +1470,6 @@ impl RaellaEngine {
         &self.stats
     }
 
-    /// Resets accumulated statistics (keeps compiled layers and the noise
-    /// stream position).
-    pub fn reset_stats(&mut self) {
-        self.stats = RunStats::default();
-    }
-
     /// The engine's configuration.
     pub fn config(&self) -> &RaellaConfig {
         &self.cfg
@@ -1711,9 +1705,6 @@ mod tests {
         let _ = engine.layer_outputs(&layer, &inputs);
         assert_eq!(engine.compiled_layers(), 1);
         assert_eq!(engine.stats().vectors, 4);
-        engine.reset_stats();
-        assert_eq!(engine.stats().vectors, 0);
-        assert_eq!(engine.compiled_layers(), 1);
     }
 
     #[test]

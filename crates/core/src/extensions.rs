@@ -51,13 +51,6 @@ pub fn column_bias_trim(levels: &[i16]) -> (Vec<i16>, ColumnTrim) {
     )
 }
 
-/// Expected column-sum bias magnitude over `rows` activated rows with
-/// mean input slice value `mean_input` — how much a residual per-column
-/// mean costs in analog range.
-pub fn expected_sum_bias(mean_level: f64, mean_input: f64, rows: usize) -> f64 {
-    (mean_level * mean_input * rows as f64).abs()
-}
-
 /// A Sum-Fidelity-Limited ADC: drops the `shift` least significant bits so
 /// `bits + shift` magnitude bits fit the converter without saturating.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -144,16 +137,6 @@ mod tests {
         let (_, rec) = column_bias_trim(&levels);
         assert_eq!(rec.bias, 0, "integer rounding cannot fix a 0.4 bias");
         assert!((rec.mean_after - rec.mean_before).abs() < 1e-12);
-    }
-
-    #[test]
-    fn expected_bias_scales_with_rows() {
-        let small = expected_sum_bias(0.4, 1.5, 64);
-        let large = expected_sum_bias(0.4, 1.5, 512);
-        assert!(large > small);
-        // 512 rows × 0.4 × 1.5 ≈ 307 — far beyond the 7b ADC range, the
-        // reason unbalanced columns saturate (Fig. 5).
-        assert!(large > 64.0);
     }
 
     #[test]

@@ -95,6 +95,7 @@ pub mod model;
 pub mod parallel;
 pub mod policy;
 pub mod probe;
+mod recal;
 pub mod scratch;
 pub mod server;
 pub mod shard;

@@ -186,7 +186,8 @@ impl<T: RecalibrationPolicy + ?Sized> RecalibrationPolicy for Arc<T> {
 
 /// The default policy — bit-identical to the pre-policy server: every
 /// consultation reprograms the whole model and rotates the shard plan by
-/// one tile ([`ShardPlan::rotated`]), so each layer lands on freshly
+/// one tile (the map `t -> (t + 1) % tiles` through
+/// [`ShardPlan::remap_tiles`]), so each layer lands on freshly
 /// programmed crossbars. When tiles have failed it shrinks onto the
 /// survivors instead (a re-placement, so repeated consultations with the
 /// same failure set are stable). Manual triggers always swap.

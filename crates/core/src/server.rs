@@ -106,6 +106,16 @@
 //! [`ServerMetrics::recalibration_pause_ticks`] make the policy
 //! observable.
 //!
+//! Recalibration itself lives in the crate-private `recal` module
+//! (`crates/core/src/recal.rs`), beside [`crate::policy`]: one path for
+//! every trigger that, under the model's recalibration guard, reads the
+//! live snapshot, failed tiles, wear counters and age once, samples
+//! fidelity from that snapshot (watchdog only), then asks the policy,
+//! validates its action and installs the result. This module only
+//! decides *when* to call it (every N-th completion, a
+//! [`RaellaServer::recalibrate`] or [`RaellaServer::fail_tile`] call) and
+//! reports its counters.
+//!
 //! # Energy metering
 //!
 //! Every [`Response`] carries the request's priced [`EnergyBreakdown`]
@@ -135,12 +145,12 @@
 //! shutdown under load strands no future, no callback, no blocked
 //! `wait`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::task::{Context, Poll};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -157,9 +167,8 @@ use crate::engine::RunStats;
 use crate::error::CoreError;
 use crate::model::CompiledModel;
 use crate::parallel::worker_count_for;
-use crate::policy::{
-    LayerBreach, RecalContext, RecalTrigger, RecalibrationAction, RecalibrationPolicy, RotatePolicy,
-};
+use crate::policy::{RecalTrigger, RecalibrationPolicy, RotatePolicy};
+use crate::recal::{layer_breaches, LiveModel, Recalibrator, ServedModel, Variant};
 use crate::shard::{run_image_placed, ShardPlan};
 
 /// One scheduler tick — the granularity of the coalescing latency budget.
@@ -432,47 +441,30 @@ impl ServerBuilder {
                 Some(_) => energy_config_ladder(&cfg),
                 None => vec![cfg],
             };
-            let mut variants = Vec::with_capacity(ladder.len());
-            for cfg in &ladder {
-                let model = CompiledModel::compile_with_cache(&graph, cfg, &cache)?;
-                let plan = match self.shards {
-                    0 => None,
-                    n => Some(Arc::new(ShardPlan::place(&model, n, tile)?)),
-                };
-                variants.push(Variant {
-                    est_pj_per_vector: model.estimated_vector_pj(),
-                    model: Arc::new(model),
-                    plan,
-                });
-            }
-            let base = &variants[0];
+            let variants = ladder
+                .iter()
+                .map(|cfg| {
+                    let model = CompiledModel::compile_with_cache(&graph, cfg, &cache)?;
+                    Ok(Variant {
+                        est_pj_per_vector: model.estimated_vector_pj(),
+                        model: Arc::new(model),
+                    })
+                })
+                .collect::<Result<Vec<_>, CoreError>>()?;
+            // One placement of the base model serves every rung.
+            let plan = match self.shards {
+                0 => None,
+                n => Some(Arc::new(ShardPlan::place(&variants[0].model, n, tile)?)),
+            };
+            let live = LiveModel::new(variants, plan, budget)?;
             // Recalibration only remaps tiles (a shrink keeps dead tiles
             // addressable), never changes the tile count, so sizing the
             // lifetime buckets once is safe.
             tile_totals.push(vec![
                 RunStats::default();
-                base.plan.as_deref().map_or(0, ShardPlan::tiles)
+                live.plan.as_deref().map_or(0, ShardPlan::tiles)
             ]);
-            // Wear counters start at the build-time programming: placing
-            // the base model onto the array writes each tile's resident
-            // cells once.
-            let tile_writes = base
-                .plan
-                .as_deref()
-                .map_or_else(Vec::new, |p| p.tile_cells(&base.model));
-            models.push(ServedModel {
-                live: RwLock::new(LiveModel {
-                    generation: base.model.config().lifetime.generation,
-                    layer_gens: Arc::new(base.model.layer_generations()),
-                    variants,
-                    budget_pj: budget,
-                }),
-                recalibrating: AtomicBool::new(false),
-                vector_counts: Mutex::new(HashMap::new()),
-                selection_cache: Mutex::new(HashMap::new()),
-                failed_tiles: Mutex::new(Vec::new()),
-                tile_writes: Mutex::new(tile_writes),
-            });
+            models.push(ServedModel::new(live));
         }
         let model_count = models.len();
         let workers = if self.workers == 0 {
@@ -487,7 +479,6 @@ impl ServerBuilder {
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
                 lanes: (0..model_count).map(|_| VecDeque::new()).collect(),
-                ages: vec![0; model_count],
                 total: 0,
                 high_water: 0,
                 next_lane: 0,
@@ -509,16 +500,14 @@ impl ServerBuilder {
             served: (0..model_count).map(|_| AtomicU64::new(0)).collect(),
             busy_ticks: AtomicU64::new(0),
             watchdog_interval: self.watchdog_interval,
-            watchdog_vectors: if self.watchdog_vectors == 0 {
-                8
-            } else {
-                self.watchdog_vectors
-            },
-            recalibrations: AtomicU64::new(0),
-            shrink_recalibrations: AtomicU64::new(0),
-            recalibration_errors: AtomicU64::new(0),
-            recal_pause_ticks: AtomicU64::new(0),
-            policy: self.policy.unwrap_or_else(|| Arc::new(RotatePolicy)),
+            recal: Recalibrator::new(
+                self.policy.unwrap_or_else(|| Arc::new(RotatePolicy)),
+                if self.watchdog_vectors == 0 {
+                    8
+                } else {
+                    self.watchdog_vectors
+                },
+            ),
             cache,
             tile_totals: Mutex::new(tile_totals),
             energy_totals: Mutex::new(vec![EnergyBreakdown::default(); model_count]),
@@ -704,11 +693,6 @@ impl Response {
     pub fn batch_size(&self) -> usize {
         self.batch_size
     }
-
-    /// Consumes the response, yielding the output tensor.
-    pub fn into_output(self) -> Tensor<u8> {
-        self.output
-    }
 }
 
 /// The completion callback a [`RequestHandle`] can register: fired
@@ -765,8 +749,8 @@ impl CompletionCell {
         })
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, CellState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, CellState> {
+        lock(&self.state)
     }
 
     /// Stores the result and fires the registered callback, if any. The
@@ -1017,10 +1001,6 @@ struct Request {
 struct QueueState {
     /// Pending requests, one FIFO lane per model (index = model index).
     lanes: Vec<VecDeque<Request>>,
-    /// Per-model device age: served vectors accumulated since the model
-    /// was last (re)programmed. Advanced at admission (so ages follow
-    /// lane order deterministically), zeroed by recalibration.
-    ages: Vec<u64>,
     /// Total requests across all lanes (kept in sync with the lanes so
     /// global-bound admission is O(1)).
     total: usize,
@@ -1112,128 +1092,6 @@ impl QueueState {
     }
 }
 
-/// One compiled variant of a served model — an [`energy_config_ladder`]
-/// entry — with its tile placement and its admission-time ranking
-/// estimate.
-#[derive(Debug, Clone)]
-struct Variant {
-    model: Arc<CompiledModel>,
-    plan: Option<Arc<ShardPlan>>,
-    /// [`CompiledModel::estimated_vector_pj`], computed once at build —
-    /// geometry-only, so reprogramming never changes it.
-    est_pj_per_vector: f64,
-}
-
-impl Variant {
-    /// This variant after a validated recalibration `action` at
-    /// `generation`: the model reprogrammed (only the named layers for a
-    /// targeted refresh) and, when placed, the plan remapped or shrunk
-    /// onto the fresh model. Otherwise the placement carries over — the
-    /// plan's fingerprint is structural, so the existing `Arc` still
-    /// matches.
-    fn recalibrated(
-        &self,
-        generation: u64,
-        action: &RecalibrationAction,
-    ) -> Result<Variant, CoreError> {
-        let model = match action {
-            RecalibrationAction::ReprogramLayers { layers } => {
-                self.model.reprogram_layers(generation, layers)?
-            }
-            _ => self.model.reprogram(generation)?,
-        };
-        let plan = match (self.plan.as_deref(), action) {
-            (Some(p), RecalibrationAction::ReprogramAll { map: Some(m) }) => {
-                Some(Arc::new(p.remap_tiles(&model, m, p.tiles())?))
-            }
-            (Some(p), RecalibrationAction::Shrink { survivors }) => {
-                Some(Arc::new(p.shrink_onto(&model, survivors)?))
-            }
-            _ => self.plan.clone(),
-        };
-        Ok(Variant {
-            model: Arc::new(model),
-            plan,
-            est_pj_per_vector: self.est_pj_per_vector,
-        })
-    }
-}
-
-/// The swappable part of a served model: every compiled variant with its
-/// tile placement, and the programming generation they were built for.
-/// Recalibration replaces the whole struct atomically under the write
-/// lock; workers clone the `Arc`s once per batch under the read lock, so
-/// a swap never touches a batch already executing.
-#[derive(Debug, Clone)]
-struct LiveModel {
-    /// Variants by [`energy_config_ladder`] index: 0 is the base config,
-    /// `1..` the slicing variants (present only when
-    /// [`ServerBuilder::energy_budget_pj`] registered a budget).
-    variants: Vec<Variant>,
-    generation: u64,
-    /// Per-layer programming generations of the base model
-    /// ([`CompiledModel::layer_generations`]), shared into every
-    /// [`Response`] — all equal to `generation` after full reprograms,
-    /// mixed after targeted ones. Every variant is reprogrammed alike.
-    layer_gens: Arc<Vec<u64>>,
-    /// The per-vector energy budget selection works against, if any.
-    budget_pj: Option<f64>,
-}
-
-impl LiveModel {
-    /// The base variant (ladder index 0): the model and plan that age,
-    /// wear, and recalibration decisions are read from.
-    fn base(&self) -> &Variant {
-        &self.variants[0]
-    }
-
-    /// Resolves a recorded ladder index to its variant. An out-of-range
-    /// index (cannot happen through admission — the ladder length is
-    /// fixed for the server's lifetime) degrades to the base.
-    fn variant(&self, config: usize) -> &Variant {
-        self.variants.get(config).unwrap_or(self.base())
-    }
-}
-
-/// One served model: the live (swappable) snapshot plus recalibration
-/// bookkeeping.
-#[derive(Debug)]
-struct ServedModel {
-    live: RwLock<LiveModel>,
-    /// Guards against concurrent recalibrations of the same model (the
-    /// second caller observes `true` and backs off).
-    recalibrating: AtomicBool,
-    /// Memoized vectors-per-image by image shape — admission stamps ages
-    /// without re-walking the graph for every request.
-    vector_counts: Mutex<HashMap<Vec<usize>, u64>>,
-    /// Memoized ladder selection by `(generation, drift epoch)` —
-    /// fidelity under drift depends on age only through the quantized
-    /// epoch, so one calibration check covers every admission in the
-    /// epoch. Recalibration bumps the generation, naturally invalidating
-    /// stale entries.
-    selection_cache: Mutex<HashMap<(u64, u64), usize>>,
-    /// Tiles reported dead via [`RaellaServer::fail_tile`], ascending.
-    /// Failure is permanent for the server's lifetime: every subsequent
-    /// recalibration decision sees the full set.
-    failed_tiles: Mutex<Vec<usize>>,
-    /// Cumulative programmed cells per tile (index = tile; empty when
-    /// unsharded): build-time placement plus every recalibration's
-    /// writes under the base plan — the wear signal policies level
-    /// against. Read via [`RaellaServer::tile_writes`] and
-    /// [`ServerMetrics::tile_writes`].
-    tile_writes: Mutex<Vec<u64>>,
-}
-
-impl ServedModel {
-    /// Clones the live snapshot's handles under the read lock.
-    fn snapshot(&self) -> LiveModel {
-        self.live
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-}
-
 #[derive(Debug)]
 struct Shared {
     state: Mutex<QueueState>,
@@ -1270,24 +1128,10 @@ struct Shared {
     busy_ticks: AtomicU64,
     /// Fidelity-watchdog period in served requests per model (0 = off).
     watchdog_interval: u64,
-    /// Test vectors per layer for each watchdog fidelity sample.
-    watchdog_vectors: usize,
-    /// Completed recalibration plan swaps (watchdog-triggered, manual,
-    /// and fault-triggered).
-    recalibrations: AtomicU64,
-    /// The subset of `recalibrations` that shrank the plan onto
-    /// surviving tiles ([`RecalibrationAction::Shrink`]).
-    shrink_recalibrations: AtomicU64,
-    /// Watchdog-triggered recalibration attempts that failed.
-    recalibration_errors: AtomicU64,
-    /// Total time spent inside recalibration attempts, in [`TICK`]s —
-    /// the serving pause the swaps cost (each attempt counts at least
-    /// one tick).
-    recal_pause_ticks: AtomicU64,
-    /// The policy every recalibration trigger consults
-    /// ([`ServerBuilder::recalibration_policy`]; defaults to
-    /// [`RotatePolicy`]).
-    policy: Arc<dyn RecalibrationPolicy>,
+    /// The recalibration policy ([`ServerBuilder::recalibration_policy`];
+    /// defaults to [`RotatePolicy`]), the fidelity sample size, and the
+    /// recalibration counters.
+    recal: Recalibrator,
     cache: SharedCompileCache,
     /// Server-lifetime per-tile statistics, one bucket vector per model
     /// (empty for unsharded models). Workers merge each sharded
@@ -1300,8 +1144,8 @@ struct Shared {
 }
 
 impl Shared {
-    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        lock(&self.state)
     }
 
     /// How many vectors serving `image` ages `model`'s device by: the
@@ -1320,10 +1164,7 @@ impl Shared {
             Arc::clone(&live.base().model)
         };
         let key = image.shape().to_vec();
-        let mut counts = served
-            .vector_counts
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut counts = lock(&served.vector_counts);
         if let Some(&n) = counts.get(&key) {
             return n;
         }
@@ -1356,17 +1197,11 @@ impl Shared {
                 _ => return 0,
             }
         };
-        let age = self.lock().ages[model];
+        let age = served.age.load(Ordering::SeqCst);
         let epoch = live.base().model.config().lifetime.drift_epoch(age);
         let key = (live.generation, epoch);
-        {
-            let cache = served
-                .selection_cache
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some(&selected) = cache.get(&key) {
-                return selected;
-            }
+        if let Some(&selected) = lock(&served.selection_cache).get(&key) {
+            return selected;
         }
         let mut candidates: Vec<(usize, f64)> = live
             .variants
@@ -1381,62 +1216,13 @@ impl Shared {
             .into_iter()
             .filter(|&(_, est)| est <= budget)
             .find(|&(idx, _)| {
-                layer_breaches(&live.variants[idx].model, self.watchdog_vectors, age)
+                layer_breaches(&live.variants[idx].model, self.recal.vectors, age)
                     .is_ok_and(|breaches| breaches.is_empty())
             })
             .map_or(0, |(idx, _)| idx);
-        served
-            .selection_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(key, selected);
+        lock(&served.selection_cache).insert(key, selected);
         selected
     }
-}
-
-/// Samples `model`'s fidelity at device age `age` and returns every
-/// layer over the config's error budget — each unique compiled layer
-/// sampled once ([`crate::compiler::CompiledLayer::check_fidelity_at_age`]
-/// over `vectors` test vectors), every index sharing a breaching artifact
-/// reported, so a targeted reprogram covers them all. The fidelity
-/// watchdog feeds the result to the recalibration policy; admission-time
-/// selection ([`ServerBuilder::energy_budget_pj`]) serves a variant only
-/// when it is empty.
-fn layer_breaches(
-    model: &CompiledModel,
-    vectors: usize,
-    age: u64,
-) -> Result<Vec<LayerBreach>, CoreError> {
-    let budget = model.config().error_budget;
-    let mut sampled: Vec<(*const crate::compiler::CompiledLayer, Option<f64>)> = Vec::new();
-    let mut breaches = Vec::new();
-    for (i, (mat, compiled)) in model
-        .graph()
-        .matrix_layers()
-        .into_iter()
-        .zip(model.compiled_layers())
-        .enumerate()
-    {
-        let ptr = Arc::as_ptr(compiled);
-        let over = match sampled.iter().find(|(p, _)| *p == ptr) {
-            Some((_, over)) => *over,
-            None => {
-                let report = compiled.check_fidelity_at_age(mat, vectors, age)?;
-                let over = (!report.within_budget(budget)).then_some(report.mean_abs_error);
-                sampled.push((ptr, over));
-                over
-            }
-        };
-        if let Some(mean_abs_error) = over {
-            breaches.push(LayerBreach {
-                layer: i,
-                name: compiled.name().to_string(),
-                mean_abs_error,
-                budget,
-            });
-        }
-    }
-    Ok(breaches)
 }
 
 /// What a worker should do with the queue.
@@ -1560,7 +1346,7 @@ fn worker_loop(shared: &Shared) {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 run_image_placed(
                     &variant.model,
-                    variant.plan.as_deref(),
+                    live.plan.as_deref(),
                     &req.image,
                     &mut arena,
                     alone,
@@ -1581,16 +1367,13 @@ fn worker_loop(shared: &Shared) {
                 }
                 // An unplaced run's one bucket is the whole request:
                 // per-tile stats are reported only on a sharded server.
-                let tile_stats = if variant.plan.is_some() {
+                let tile_stats = if live.plan.is_some() {
                     tile_stats
                 } else {
                     Vec::new()
                 };
                 if !tile_stats.is_empty() {
-                    let mut totals = shared
-                        .tile_totals
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
+                    let mut totals = lock(&shared.tile_totals);
                     for (bucket, local) in totals[req.model].iter_mut().zip(&tile_stats) {
                         bucket.merge(local);
                     }
@@ -1606,10 +1389,7 @@ fn worker_loop(shared: &Shared) {
                     .map(|s| meter.breakdown(&s.meter_events()))
                     .collect();
                 {
-                    let mut totals = shared
-                        .energy_totals
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
+                    let mut totals = lock(&shared.energy_totals);
                     totals[req.model] = totals[req.model].add(&energy);
                 }
                 Response {
@@ -1640,13 +1420,9 @@ fn worker_loop(shared: &Shared) {
             // model's fidelity at its current age; past-budget drift
             // triggers the recalibration plan swap. The handle was
             // already answered, so the pause never blocks a response
-            // delivered this iteration. No caller awaits the check, so
-            // a failure is counted, never swallowed.
-            if shared.watchdog_interval > 0
-                && completed.is_multiple_of(shared.watchdog_interval)
-                && watchdog_check(shared, req.model).is_err()
-            {
-                shared.recalibration_errors.fetch_add(1, Ordering::SeqCst);
+            // delivered this iteration.
+            if shared.watchdog_interval > 0 && completed.is_multiple_of(shared.watchdog_interval) {
+                shared.recal.watchdog(&shared.models[req.model], req.model);
             }
         }
         shared
@@ -1657,230 +1433,14 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// Duration → whole [`TICK`]s.
-fn ticks(d: Duration) -> u64 {
+pub(crate) fn ticks(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Whether the live plan still places anything on a failed tile — true
-/// only in the window between a failure report and the shrink that
-/// reroutes around it (or when that shrink was contended and must be
-/// retried).
-fn plan_touches(plan: Option<&ShardPlan>, failed: &[usize]) -> bool {
-    plan.is_some_and(|p| {
-        p.placements()
-            .iter()
-            .any(|pl| pl.slices().iter().any(|s| failed.contains(&s.tile)))
-    })
-}
-
-/// Samples the live model's fidelity at its current device age (each
-/// unique compiled layer once, every sharing index reported) and
-/// consults the recalibration policy when any layer exceeds the config's
-/// error budget — or when the live plan still touches a failed tile (the
-/// watchdog retries a contended fault reroute). Returns whether a swap
-/// happened.
-fn watchdog_check(shared: &Shared, model: usize) -> Result<bool, CoreError> {
-    let served = &shared.models[model];
-    let live = served.snapshot();
-    let failed = served
-        .failed_tiles
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone();
-    let base = live.base();
-    let dirty = plan_touches(base.plan.as_deref(), &failed);
-    let drifting = base.model.config().lifetime.is_drifting();
-    if !drifting && !dirty {
-        return Ok(false);
-    }
-    let breaches = if drifting {
-        let age = shared.lock().ages[model];
-        layer_breaches(&base.model, shared.watchdog_vectors, age)?
-    } else {
-        Vec::new()
-    };
-    if breaches.is_empty() && !dirty {
-        return Ok(false);
-    }
-    recalibrate_model(shared, model, RecalTrigger::Watchdog, &breaches)
-}
-
-/// The policy-driven recalibration: under the per-model guard, assemble
-/// the evidence ([`RecalContext`]), ask the server's
-/// [`RecalibrationPolicy`] what to do, and apply the answer — installing
-/// the fresh snapshot atomically for future batches. Queued and
-/// in-flight requests are never dropped: batches popped before the
-/// install run against the old snapshot, batches popped after it against
-/// the new one, each self-described by its responses'
-/// `(generation, age)` (and [`Response::layer_generations`] after a
-/// targeted refresh).
-///
-/// Returns `Ok(false)` without swapping when another recalibration of
-/// the same model is already in flight, or when the policy returned
-/// [`RecalibrationAction::None`].
-fn recalibrate_model(
-    shared: &Shared,
-    model: usize,
-    trigger: RecalTrigger,
-    breaches: &[LayerBreach],
-) -> Result<bool, CoreError> {
-    let served = &shared.models[model];
-    if served.recalibrating.swap(true, Ordering::SeqCst) {
-        return Ok(false);
-    }
-    let start = Instant::now();
-    let result = consult_policy(shared, model, trigger, breaches);
-    shared
-        .recal_pause_ticks
-        .fetch_add(ticks(start.elapsed()).max(1), Ordering::SeqCst);
-    served.recalibrating.store(false, Ordering::SeqCst);
-    result
-}
-
-/// Assembles the [`RecalContext`] evidence, asks the policy, applies the
-/// answer. The caller holds the per-model recalibration guard and meters
-/// the pause around this call.
-fn consult_policy(
-    shared: &Shared,
-    model: usize,
-    trigger: RecalTrigger,
-    breaches: &[LayerBreach],
-) -> Result<bool, CoreError> {
-    let served = &shared.models[model];
-    let live = served.snapshot();
-    let failed = served
-        .failed_tiles
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone();
-    let tile_writes = served
-        .tile_writes
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone();
-    let age = shared.lock().ages[model];
-    let base = live.base();
-    let tile_cells = base
-        .plan
-        .as_deref()
-        .map_or_else(Vec::new, |p| p.tile_cells(&base.model));
-    let action = shared.policy.decide(&RecalContext {
-        model,
-        generation: live.generation,
-        age,
-        drift_epoch: base.model.config().lifetime.drift_epoch(age),
-        trigger,
-        breaches,
-        layer_count: base.model.compiled_layers().len(),
-        tile_writes: &tile_writes,
-        tile_cells: &tile_cells,
-        failed_tiles: &failed,
-        plan: base.plan.as_deref(),
-    });
-    apply_action(shared, model, &live, &failed, action)
-}
-
-/// Applies a policy's [`RecalibrationAction`] to the live snapshot:
-/// validates it once against the base plan and the failure set (every
-/// variant shares the base's tiles and layer count), maps every variant
-/// through [`Variant::recalibrated`], and installs the result under the
-/// write lock. Wear is charged from the base variant's placement. The
-/// caller holds the per-model recalibration guard.
-fn apply_action(
-    shared: &Shared,
-    model: usize,
-    live: &LiveModel,
-    failed: &[usize],
-    action: RecalibrationAction,
-) -> Result<bool, CoreError> {
-    let served = &shared.models[model];
-    let sharded = live.base().plan.is_some();
-    match &action {
-        RecalibrationAction::None => return Ok(false),
-        RecalibrationAction::ReprogramAll { map: None } => {}
-        RecalibrationAction::ReprogramAll { map: Some(m) } => {
-            if !sharded {
-                return Err(CoreError::Server(
-                    "recalibration policy returned a tile map for an unsharded model".into(),
-                ));
-            }
-            if let Some((src, dst)) = m.iter().enumerate().find(|(_, dst)| failed.contains(dst)) {
-                return Err(CoreError::Server(format!(
-                    "recalibration policy mapped tile {src} onto failed tile {dst}"
-                )));
-            }
-        }
-        RecalibrationAction::ReprogramLayers { layers } => {
-            let count = live.base().model.compiled_layers().len();
-            if layers.is_empty() {
-                return Err(CoreError::Server(
-                    "recalibration policy named no layers to reprogram".into(),
-                ));
-            }
-            if let Some(bad) = layers.iter().find(|&&l| l >= count) {
-                return Err(CoreError::Server(format!(
-                    "recalibration policy named layer {bad}, model has {count}"
-                )));
-            }
-        }
-        RecalibrationAction::Shrink { survivors } => {
-            if !sharded {
-                return Err(CoreError::Server(
-                    "cannot shrink an unsharded model onto surviving tiles".into(),
-                ));
-            }
-            if let Some(bad) = survivors.iter().find(|t| failed.contains(t)) {
-                return Err(CoreError::Server(format!(
-                    "recalibration policy kept failed tile {bad} in the survivor list"
-                )));
-            }
-        }
-    }
-    let generation = live.generation + 1;
-    let variants = live
-        .variants
-        .iter()
-        .map(|v| v.recalibrated(generation, &action))
-        .collect::<Result<Vec<_>, _>>()?;
-    let base = &variants[0];
-    let written = match (base.plan.as_deref(), &action) {
-        (None, _) => Vec::new(),
-        (Some(p), RecalibrationAction::ReprogramLayers { layers }) => {
-            p.tile_cells_for_layers(&base.model, layers)
-        }
-        (Some(p), _) => p.tile_cells(&base.model),
-    };
-    // A targeted refresh keeps the plan and the device age: it cures
-    // programming error in place while relaxation keeps accruing.
-    let reset_age = !matches!(action, RecalibrationAction::ReprogramLayers { .. });
-    let shrunk = matches!(action, RecalibrationAction::Shrink { .. });
-    *served.live.write().unwrap_or_else(PoisonError::into_inner) = LiveModel {
-        layer_gens: Arc::new(base.model.layer_generations()),
-        variants,
-        generation,
-        budget_pj: live.budget_pj,
-    };
-    if reset_age {
-        // Relaxation is drift since the last programming: a fresh
-        // generation starts at age 0 (epoch 0 replays the static noise
-        // streams bit-for-bit). A targeted refresh keeps the age — its
-        // unnamed layers are still relaxing.
-        shared.lock().ages[model] = 0;
-    }
-    {
-        let mut writes = served
-            .tile_writes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        for (bucket, cells) in writes.iter_mut().zip(&written) {
-            *bucket += cells;
-        }
-    }
-    shared.recalibrations.fetch_add(1, Ordering::SeqCst);
-    if shrunk {
-        shared.shrink_recalibrations.fetch_add(1, Ordering::SeqCst);
-    }
-    Ok(true)
+/// Locks `m`, recovering the guard if a holder panicked: a panicking
+/// request never wedges the queue or a model's state.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// How [`RaellaServer::submit`] waits for queue space at a bound.
@@ -2008,9 +1568,10 @@ impl ServerMetrics {
         &self.failed_tiles
     }
 
-    /// Total time spent inside recalibration attempts, in [`TICK`]s —
-    /// the cumulative serving pause the swaps cost (each attempt counts
-    /// at least one tick).
+    /// Total time spent deciding and installing recalibrations, in
+    /// [`TICK`]s — the cumulative serving pause the swaps cost (each
+    /// policy consultation counts at least one tick; the watchdog's
+    /// fidelity sampling before it is not counted).
     pub fn recalibration_pause_ticks(&self) -> u64 {
         self.recalibration_pause_ticks
     }
@@ -2134,7 +1695,14 @@ impl RaellaServer {
         // submitter waiting on this lane (freed slots are granted to the
         // lane's ticket FIFO first — nobody barges past it).
         if state.admissible(model, 1, &self.shared) {
-            let handle = enqueue(&mut state, model, image, advance, config);
+            let handle = enqueue(
+                &mut state,
+                &self.shared.models[model],
+                model,
+                image,
+                advance,
+                config,
+            );
             drop(state);
             self.shared.ready.notify_one();
             return Ok(handle);
@@ -2171,7 +1739,14 @@ impl RaellaServer {
                 && state.global_turn(model, ticket, &self.shared)
             {
                 state.lane_waiters[model].pop_front();
-                let handle = enqueue(&mut state, model, image, advance, config);
+                let handle = enqueue(
+                    &mut state,
+                    &self.shared.models[model],
+                    model,
+                    image,
+                    advance,
+                    config,
+                );
                 drop(state);
                 // Cascade: room may remain for the next ticket.
                 self.shared.space.notify_all();
@@ -2260,7 +1835,16 @@ impl RaellaServer {
         let handles = images
             .into_iter()
             .zip(advances)
-            .map(|(image, advance)| enqueue(&mut state, model, image, advance, config))
+            .map(|(image, advance)| {
+                enqueue(
+                    &mut state,
+                    &self.shared.models[model],
+                    model,
+                    image,
+                    advance,
+                    config,
+                )
+            })
             .collect();
         drop(state);
         // Several batches may now be ready at once.
@@ -2332,37 +1916,22 @@ impl RaellaServer {
                 .collect(),
             queued: state.lanes.iter().map(VecDeque::len).collect(),
             worker_busy_ticks: self.shared.busy_ticks.load(Ordering::Relaxed),
-            recalibrations: self.shared.recalibrations.load(Ordering::SeqCst),
-            shrink_recalibrations: self.shared.shrink_recalibrations.load(Ordering::SeqCst),
-            recalibration_errors: self.shared.recalibration_errors.load(Ordering::SeqCst),
-            recalibration_pause_ticks: self.shared.recal_pause_ticks.load(Ordering::SeqCst),
-            model_energy: self
-                .shared
-                .energy_totals
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone(),
+            recalibrations: self.shared.recal.recalibrations.load(Ordering::SeqCst),
+            shrink_recalibrations: self.shared.recal.shrinks.load(Ordering::SeqCst),
+            recalibration_errors: self.shared.recal.errors.load(Ordering::SeqCst),
+            recalibration_pause_ticks: self.shared.recal.pause_ticks.load(Ordering::SeqCst),
+            model_energy: lock(&self.shared.energy_totals).clone(),
             tile_writes: self
                 .shared
                 .models
                 .iter()
-                .map(|m| {
-                    m.tile_writes
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .clone()
-                })
+                .map(|m| lock(&m.tile_writes).clone())
                 .collect(),
             failed_tiles: self
                 .shared
                 .models
                 .iter()
-                .map(|m| {
-                    m.failed_tiles
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .clone()
-                })
+                .map(|m| lock(&m.failed_tiles).clone())
                 .collect(),
         }
     }
@@ -2387,7 +1956,7 @@ impl RaellaServer {
     ///
     /// Panics if `index` is out of range.
     pub fn shard_plan(&self, index: usize) -> Option<Arc<ShardPlan>> {
-        self.shared.models[index].snapshot().base().plan.clone()
+        self.shared.models[index].snapshot().plan
     }
 
     /// Programming generation of the live model at `index` (increments
@@ -2407,8 +1976,7 @@ impl RaellaServer {
     ///
     /// Panics if `index` is out of range.
     pub fn device_age(&self, index: usize) -> u64 {
-        assert!(index < self.shared.models.len(), "no model {index}");
-        self.shared.lock().ages[index]
+        self.shared.models[index].age.load(Ordering::SeqCst)
     }
 
     /// Manually triggers a recalibration of the model at `index` — the
@@ -2426,13 +1994,10 @@ impl RaellaServer {
     /// action the live state cannot honor, and propagates reprogramming
     /// errors (the old snapshot stays live either way).
     pub fn recalibrate(&self, index: usize) -> Result<bool, CoreError> {
-        if index >= self.shared.models.len() {
-            return Err(CoreError::Server(format!(
-                "no model {index} (server holds {})",
-                self.shared.models.len()
-            )));
-        }
-        recalibrate_model(&self.shared, index, RecalTrigger::Manual, &[])
+        let served = self.served(index)?;
+        self.shared
+            .recal
+            .recalibrate(served, index, RecalTrigger::Manual)
     }
 
     /// Reports tile `tile` of the model at `index` dead — the
@@ -2459,36 +2024,22 @@ impl RaellaServer {
     /// tile has failed (the server refuses to shrink onto nothing; the
     /// stale plan stays live).
     pub fn fail_tile(&self, index: usize, tile: usize) -> Result<bool, CoreError> {
-        if index >= self.shared.models.len() {
-            return Err(CoreError::Server(format!(
+        let served = self.served(index)?;
+        served.fail_tile(index, tile)?;
+        self.shared
+            .recal
+            .recalibrate(served, index, RecalTrigger::Fault)
+    }
+
+    /// The served model at `index`, or [`CoreError::Server`] naming the
+    /// server's model count.
+    fn served(&self, index: usize) -> Result<&ServedModel, CoreError> {
+        self.shared.models.get(index).ok_or_else(|| {
+            CoreError::Server(format!(
                 "no model {index} (server holds {})",
                 self.shared.models.len()
-            )));
-        }
-        let served = &self.shared.models[index];
-        let live = served.snapshot();
-        let Some(plan) = live.base().plan.as_deref() else {
-            return Err(CoreError::Server(format!(
-                "model {index} is unsharded: no tile to fail"
-            )));
-        };
-        if tile >= plan.tiles() {
-            return Err(CoreError::Server(format!(
-                "no tile {tile} to fail (model {index} has {})",
-                plan.tiles()
-            )));
-        }
-        {
-            let mut failed = served
-                .failed_tiles
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if !failed.contains(&tile) {
-                failed.push(tile);
-                failed.sort_unstable();
-            }
-        }
-        recalibrate_model(&self.shared, index, RecalTrigger::Fault, &[])
+            ))
+        })
     }
 
     /// Tiles of the model at `index` reported dead via
@@ -2499,17 +2050,12 @@ impl RaellaServer {
     ///
     /// Panics if `index` is out of range.
     pub fn failed_tiles(&self, index: usize) -> Vec<usize> {
-        assert!(index < self.shared.models.len(), "no model {index}");
-        self.shared.models[index]
-            .failed_tiles
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+        lock(&self.shared.models[index].failed_tiles).clone()
     }
 
     /// Cumulative programmed cells per tile for the model at `index`
     /// (index = tile; empty for an unsharded model): the build-time
-    /// placement plus every recalibration's writes under the base plan —
+    /// placement plus every recalibration's writes under the live plan —
     /// the wear signal [`crate::policy::WearAwarePolicy`] levels
     /// against. Also surfaced by [`ServerMetrics::tile_writes`].
     ///
@@ -2517,12 +2063,7 @@ impl RaellaServer {
     ///
     /// Panics if `index` is out of range.
     pub fn tile_writes(&self, index: usize) -> Vec<u64> {
-        assert!(index < self.shared.models.len(), "no model {index}");
-        self.shared.models[index]
-            .tile_writes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+        lock(&self.shared.models[index].tile_writes).clone()
     }
 
     /// Per-tile statistics aggregated over every request the model at
@@ -2533,12 +2074,7 @@ impl RaellaServer {
     ///
     /// Panics if `index` is out of range.
     pub fn tile_stats(&self, index: usize) -> Vec<RunStats> {
-        assert!(index < self.shared.models.len(), "no model {index}");
-        self.shared
-            .tile_totals
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)[index]
-            .clone()
+        lock(&self.shared.tile_totals)[index].clone()
     }
 
     /// Number of models served.
@@ -2574,7 +2110,7 @@ impl RaellaServer {
         }
         self.shared.ready.notify_all();
         self.shared.space.notify_all();
-        let mut workers = self.workers.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut workers = lock(&self.workers);
         for handle in workers.drain(..) {
             let _ = handle.join();
         }
@@ -2588,6 +2124,7 @@ impl RaellaServer {
 /// *before* its own vectors, then ages the device by `advance`.
 fn enqueue(
     state: &mut QueueState,
+    served: &ServedModel,
     model: usize,
     image: Tensor<u8>,
     advance: u64,
@@ -2595,8 +2132,15 @@ fn enqueue(
 ) -> RequestHandle {
     let seq = state.next_seq;
     state.next_seq += 1;
-    let age = state.ages[model];
-    state.ages[model] = age.saturating_add(advance);
+    // Only admissions (under the caller's queue lock) advance the age, so
+    // the stamp follows lane order; a recalibration's reset is the one
+    // concurrent write, and the read-modify-write cannot lose it.
+    let age = served
+        .age
+        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |a| {
+            Some(a.saturating_add(advance))
+        })
+        .unwrap_or_else(|a| a);
     let cell = CompletionCell::new();
     state.lanes[model].push_back(Request {
         model,

@@ -319,22 +319,6 @@ impl ShardPlan {
         ShardPlan::custom(model, tiles, self.tile, placements)
     }
 
-    /// This plan with every tile index rotated by `shift` modulo the tile
-    /// count — the simplest whole-array migration (each layer moves to
-    /// freshly-programmed crossbars; tile count and splits unchanged).
-    ///
-    /// The shift wraps: `shift >= tiles` rotates by `shift % tiles`, so
-    /// any whole multiple of the tile count (including `shift == tiles`)
-    /// is a documented no-op — the rotated plan compares equal to `self`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardPlan::remap_tiles`].
-    pub fn rotated(&self, model: &CompiledModel, shift: usize) -> Result<ShardPlan, CoreError> {
-        let map: Vec<usize> = (0..self.tiles).map(|t| (t + shift) % self.tiles).collect();
-        self.remap_tiles(model, &map, self.tiles)
-    }
-
     /// Shrinks the placement onto `survivors` — the tile-failure move:
     /// re-place the whole model across only the surviving tiles, keeping
     /// the plan's tile *count* (dead tiles stay addressable, they just
@@ -1191,7 +1175,8 @@ mod tests {
             Err(CoreError::Shard(_))
         ));
 
-        let rotated = plan.rotated(&model, 1).unwrap();
+        // The rotation map: every tile one over.
+        let rotated = plan.remap_tiles(&model, &[1, 2, 0], 3).unwrap();
         assert_eq!(rotated.tiles(), 3);
         assert_eq!(rotated.model_fingerprint(), plan.model_fingerprint());
 
@@ -1245,14 +1230,14 @@ mod tests {
     fn rotation_wraps_and_identity_remap_is_a_no_op() {
         let model = compile();
         let plan = ShardPlan::place(&model, 3, TileSpec::new(64, 64)).unwrap();
-        // shift == tiles (and any multiple) wraps to the identity.
-        assert_eq!(plan.rotated(&model, 3).unwrap(), plan);
-        assert_eq!(plan.rotated(&model, 6).unwrap(), plan);
-        // shift >= tiles rotates by shift % tiles.
-        assert_eq!(
-            plan.rotated(&model, 4).unwrap(),
-            plan.rotated(&model, 1).unwrap()
-        );
+        // Rotating by one tile as many times as there are tiles wraps to
+        // the identity; a rotation by two is two rotations by one.
+        let rotate = [1, 2, 0];
+        let once = plan.remap_tiles(&model, &rotate, 3).unwrap();
+        let twice = once.remap_tiles(&model, &rotate, 3).unwrap();
+        assert_ne!(once, plan);
+        assert_eq!(twice, plan.remap_tiles(&model, &[2, 0, 1], 3).unwrap());
+        assert_eq!(twice.remap_tiles(&model, &rotate, 3).unwrap(), plan);
         // An identity map is a documented no-op.
         assert_eq!(plan.remap_tiles(&model, &[0, 1, 2], 3).unwrap(), plan);
     }

@@ -500,3 +500,89 @@ fn fail_tile_validates_model_plan_and_tile() {
     assert_eq!(server.metrics().shrink_recalibrations(), 2);
     server.shutdown();
 }
+
+/// Records each consultation's `(trigger, generation, age, breaches)`,
+/// then acts like the default policy.
+#[derive(Debug, Default)]
+struct Recorder {
+    seen: Mutex<Vec<(RecalTrigger, u64, u64, usize)>>,
+}
+
+impl RecalibrationPolicy for Recorder {
+    fn decide(&self, ctx: &RecalContext<'_>) -> RecalibrationAction {
+        self.seen.lock().expect("recorder lock").push((
+            ctx.trigger,
+            ctx.generation,
+            ctx.age,
+            ctx.breaches.len(),
+        ));
+        RotatePolicy.decide(ctx)
+    }
+}
+
+#[test]
+fn watchdog_decides_from_the_snapshot_it_sampled() {
+    // One 64x32x32 image is 1,025 vectors (1,024 conv windows plus the
+    // head), and the drift interval ends epoch 0 exactly there: after one
+    // image every layer breaches, while a freshly programmed device holds
+    // the budget.
+    let mut g = Graph::new();
+    let input = g.input();
+    let conv = g
+        .conv(input, SynthLayer::conv(64, 64, 3, 11).build(), 64, 3, 1, 1)
+        .expect("conv wires");
+    let gap = g.global_avg_pool(conv);
+    let fc = g.linear(gap, SynthLayer::linear(64, 4, 13).build());
+    g.set_output(fc);
+    let cfg = RaellaConfig {
+        search_vectors: 4,
+        error_budget: 0.5,
+        ..RaellaConfig::default()
+    }
+    .with_lifetime(DeviceLifetime::new(0.0, 2.0, 1025));
+    let cache = SharedCompileCache::new();
+    let model = CompiledModel::compile_with_cache(&g, &cfg, &cache).expect("compiles");
+    for (mat, layer) in g.matrix_layers().into_iter().zip(model.compiled_layers()) {
+        let fresh = layer.check_fidelity_at_age(mat, 1000, 0).expect("samples");
+        assert!(fresh.within_budget(cfg.error_budget), "{fresh:?}");
+        let aged = layer
+            .check_fidelity_at_age(mat, 1000, 1025)
+            .expect("samples");
+        assert!(!aged.within_budget(cfg.error_budget), "{aged:?}");
+    }
+
+    let recorder = Arc::new(Recorder::default());
+    let server = RaellaServer::builder()
+        .model(&g, &cfg)
+        .compile_cache(cache.clone())
+        .workers(1)
+        .watchdog_interval(1)
+        .watchdog_vectors(1000)
+        .recalibration_policy(Arc::clone(&recorder))
+        .build()
+        .expect("server builds");
+    let mut rng = SynthRng::new(3);
+    let data: Vec<u8> = (0..64 * 32 * 32)
+        .map(|_| rng.exponential(30.0).min(255.0) as u8)
+        .collect();
+    let img = Tensor::from_vec(data, &[64, 32, 32]).expect("consistent image");
+    server
+        .submit(0, img, Admission::Block)
+        .expect("admits")
+        .wait()
+        .expect("completes");
+    // The manual swap races the watchdog check the completion started.
+    while !server.recalibrate(0).expect("manual recalibration") {
+        std::thread::yield_now();
+    }
+    server.shutdown();
+
+    let seen = recorder.seen.lock().expect("recorder lock");
+    assert!(seen.iter().any(|c| c.0 == RecalTrigger::Manual), "{seen:?}");
+    for c in seen.iter().filter(|c| c.0 == RecalTrigger::Watchdog) {
+        assert!(
+            c.2 > 0 || c.3 == 0,
+            "the watchdog decided at age 0 on breaches sampled before the swap: {seen:?}"
+        );
+    }
+}

@@ -86,11 +86,6 @@ impl MiniModel {
         self.top_k_match_rate(engine, n, seed, 1)
     }
 
-    /// Top-5 match rate against the integer reference.
-    pub fn top5_match_rate(&self, engine: &mut dyn MatVecEngine, n: usize, seed: u64) -> f64 {
-        self.top_k_match_rate(engine, n, seed, 5)
-    }
-
     /// All mini families, in the paper's Table 4 order (BERT is separate —
     /// see [`mini_bert_ff`] — because its activations are signed).
     pub fn all_cnn_families(seed: u64) -> Vec<MiniModel> {
@@ -624,7 +619,7 @@ mod tests {
     #[test]
     fn reference_engine_matches_itself_perfectly() {
         for model in MiniModel::all_cnn_families(3) {
-            let rate = model.top5_match_rate(&mut ReferenceEngine, 5, 99);
+            let rate = model.top_k_match_rate(&mut ReferenceEngine, 5, 99, 5);
             assert_eq!(rate, 1.0, "{}", model.name);
         }
     }

@@ -49,11 +49,6 @@ impl LayerSpec {
         self.in_c / self.groups * self.k * self.k
     }
 
-    /// Filters per group-partition that share input rows.
-    pub fn filters_per_group(&self) -> usize {
-        self.out_c / self.groups
-    }
-
     /// Total stored weights.
     pub fn weights(&self) -> u64 {
         self.out_c as u64 * self.filter_len() as u64

@@ -60,21 +60,6 @@ impl QuantParams {
     pub fn dequantize(&self, stored: u8) -> f32 {
         (f32::from(stored) - f32::from(self.zero_point)) * self.scale
     }
-
-    /// Chooses parameters covering `[lo, hi]` with 256 levels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or either bound is not finite.
-    pub fn fit_range(lo: f32, hi: f32) -> Self {
-        assert!(
-            lo.is_finite() && hi.is_finite() && lo < hi,
-            "bad range [{lo}, {hi}]"
-        );
-        let scale = (hi - lo) / 255.0;
-        let zp = (-lo / scale).round().clamp(0.0, 255.0) as u8;
-        QuantParams::new(scale, zp)
-    }
 }
 
 /// Per-filter output requantization: psum (`i32`) → 8b activation.
@@ -218,15 +203,6 @@ mod tests {
         let q = QuantParams::new(0.5, 128);
         assert_eq!(q.quantize(1e6), 255);
         assert_eq!(q.quantize(-1e6), 0);
-    }
-
-    #[test]
-    fn fit_range_covers_bounds() {
-        let q = QuantParams::fit_range(-2.0, 6.0);
-        assert_eq!(q.quantize(-2.0), 0);
-        assert_eq!(q.quantize(6.0), 255);
-        let mid = q.quantize(0.0);
-        assert!((60..70).contains(&mid), "zero point landed at {mid}");
     }
 
     #[test]

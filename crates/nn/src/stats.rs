@@ -144,11 +144,6 @@ impl Histogram {
     pub fn total(&self) -> u64 {
         self.counts.iter().sum::<u64>() + self.underflow + self.overflow
     }
-
-    /// Lower edge of bin `i`.
-    pub fn bin_lo(&self, i: usize) -> i64 {
-        self.lo + (i as u64 * self.bin_width) as i64
-    }
 }
 
 /// Summary statistics of an integer sample.
@@ -253,8 +248,6 @@ mod tests {
         assert_eq!(h.overflow(), 2);
         assert_eq!(h.counts(), &[2, 1, 2, 1]);
         assert_eq!(h.total(), 9);
-        assert_eq!(h.bin_lo(0), -10);
-        assert_eq!(h.bin_lo(3), 5);
     }
 
     #[test]

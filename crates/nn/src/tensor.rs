@@ -79,11 +79,6 @@ impl<T: Copy> Tensor<T> {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its flat buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Row-major flat offset of a multi-dimensional index.
     ///
     /// # Panics

@@ -19,6 +19,7 @@ fn main() {
     let images = 16;
 
     for model in [mini_resnet18(0xF15A), mini_googlenet(0xF15B)] {
+        let images = model.sample_images(images, 3);
         println!("\n  --- {} (proxy top-1 drop, %) ---", model.name);
         let mut rows = Vec::new();
         let mut drops: Vec<Vec<f64>> = Vec::new();
@@ -26,8 +27,9 @@ fn main() {
             let mut row = vec![setup.name().to_string()];
             let mut series = Vec::new();
             for (ni, &noise) in noise_levels.iter().enumerate() {
-                let mut engine = setup.engine(noise, 0x0F15 + ni as u64);
-                let rate = model.top1_match_rate(&mut engine, images, 3);
+                let rate = setup
+                    .top1_agreement(&model.graph, &images, noise, 0x0F15 + ni as u64)
+                    .expect("runs");
                 let drop = 100.0 * (1.0 - rate);
                 series.push(drop);
                 row.push(format!("{drop:.1}"));

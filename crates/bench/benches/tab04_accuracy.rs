@@ -11,8 +11,8 @@
 //! on the BERT chain (`DESIGN.md` §5 records the substitution).
 
 use raella_bench::{header, table};
-use raella_core::engine::RaellaEngine;
-use raella_core::{accuracy, RaellaConfig};
+use raella_core::engine::run_batch_at_age;
+use raella_core::{accuracy, CompiledLayer, CompiledModel, RaellaConfig, RunStats};
 use raella_nn::models::mini::{self, MiniModel};
 use raella_nn::quant::mean_error_nonzero;
 
@@ -31,10 +31,13 @@ fn main() {
     let mut co_drops = Vec::new();
     let mut zo_drops = Vec::new();
     for model in MiniModel::all_cnn_families(0x04AC) {
-        let mut co = RaellaEngine::new(cfg.clone());
-        let mut zo = RaellaEngine::new(cfg.clone().zero_offset());
-        let co_drop = accuracy::accuracy_drop_percent(&model, &mut co, images, 1);
-        let zo_drop = accuracy::accuracy_drop_percent(&model, &mut zo, images, 1);
+        let images = model.sample_images(images, 1);
+        let drop = |cfg: &RaellaConfig| {
+            let compiled = CompiledModel::compile(&model.graph, cfg).expect("compiles");
+            100.0 * (1.0 - accuracy::top1_agreement(&compiled, &images).expect("runs"))
+        };
+        let co_drop = drop(&cfg);
+        let zo_drop = drop(&cfg.clone().zero_offset());
         co_drops.push(co_drop);
         zo_drops.push(zo_drop);
         rows.push(vec![
@@ -47,11 +50,22 @@ fn main() {
     // BERT chain: §4.2.1 error metric scaled as a pseudo-drop.
     let layers = mini::mini_bert_ff(0x04AC);
     let input = mini::sample_signed_input(layers[0].filter_len(), 2);
-    let reference = mini::run_chain(&layers, &input, &mut raella_nn::layers::ReferenceEngine);
-    let mut co = RaellaEngine::new(cfg.clone());
-    let mut zo = RaellaEngine::new(cfg.clone().zero_offset());
-    let co_out = mini::run_chain(&layers, &input, &mut co);
-    let zo_out = mini::run_chain(&layers, &input, &mut zo);
+    let reference = mini::run_chain(&layers, &input, |l, x| l.reference_outputs(x));
+    // Signed inputs and no graph: each layer compiles on its own and runs
+    // on an un-aged device, its vectors numbered on from the previous
+    // layer's.
+    let raella = |cfg: &RaellaConfig| {
+        let mut next_vector = 0;
+        mini::run_chain(&layers, &input, |layer, x| {
+            let compiled = CompiledLayer::compile(layer, cfg).expect("compiles");
+            let first = next_vector;
+            next_vector += (x.len() / layer.filter_len()) as u64;
+            let mut stats = RunStats::default();
+            run_batch_at_age(&compiled, x, &mut stats, cfg.noise_seed(), first, 0)
+        })
+    };
+    let co_out = raella(&cfg);
+    let zo_out = raella(&cfg.clone().zero_offset());
     let co_err = mean_error_nonzero(&reference, &co_out);
     let zo_err = mean_error_nonzero(&reference, &zo_out);
     rows.push(vec![

@@ -1,18 +1,24 @@
 //! The §7 ablation setups: ISAAC → +Center+Offset → +Adaptive Weight
 //! Slicing → full RAELLA.
 //!
-//! Each setup is a functional engine that can replace the integer reference
-//! in graph execution, so the noise ablation (Fig. 15) measures real
-//! end-to-end accuracy under the §7.2 noise model. The energy ablation
-//! (Fig. 14) reuses the same setups through `raella-arch`'s pricing.
+//! Each RAELLA setup is a [`RaellaConfig`] compiled into a
+//! [`CompiledModel`]; ISAAC is its own functional engine. The noise
+//! ablation (Fig. 15) measures each setup's end-to-end top-1 agreement
+//! under the §7.2 noise model. The energy ablation (Fig. 14) reuses the
+//! same setups through `raella-arch`'s pricing.
 
+use raella_nn::graph::Graph;
 use raella_nn::layers::MatVecEngine;
 use raella_nn::matrix::{Act, MatrixLayer};
+use raella_nn::tensor::Tensor;
 use raella_xbar::noise::{NoiseModel, NoiseRng};
 use raella_xbar::slicing::Slicing;
 
+use crate::accuracy::{reference_agreement, top1_agreement};
 use crate::config::{InputMode, RaellaConfig, WeightEncoding};
-use crate::engine::{RaellaEngine, RunStats};
+use crate::engine::RunStats;
+use crate::error::CoreError;
+use crate::model::CompiledModel;
 
 /// The four cumulative ablation setups (§7, Figs. 14–15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,70 +56,60 @@ impl AblationSetup {
         }
     }
 
-    /// Builds the functional engine for this setup at a noise level.
-    pub fn engine(&self, noise: f64, seed: u64) -> SetupEngine {
-        match self {
-            AblationSetup::Isaac => SetupEngine::Isaac(IsaacEngine::new(noise, seed)),
-            AblationSetup::CenterOffset => {
-                let cfg = RaellaConfig {
-                    encoding: WeightEncoding::CenterOffset,
-                    input_mode: InputMode::BitSerial,
-                    fixed_weight_slicing: Some(Slicing::isaac_weights()),
-                    seed,
-                    ..RaellaConfig::default()
-                }
-                .with_noise(noise);
-                SetupEngine::Raella(RaellaEngine::new(cfg))
-            }
-            AblationSetup::AdaptiveSlicing => {
-                let cfg = RaellaConfig {
-                    input_mode: InputMode::BitSerial,
-                    search_vectors: 3,
-                    seed,
-                    ..RaellaConfig::default()
-                }
-                .with_noise(noise);
-                SetupEngine::Raella(RaellaEngine::new(cfg))
-            }
-            AblationSetup::Raella => {
-                let cfg = RaellaConfig {
-                    input_mode: InputMode::Speculative,
-                    search_vectors: 3,
-                    seed,
-                    ..RaellaConfig::default()
-                }
-                .with_noise(noise);
-                SetupEngine::Raella(RaellaEngine::new(cfg))
-            }
-        }
+    /// This setup's configuration at a noise level, or `None` for ISAAC,
+    /// which is not a RAELLA configuration (see [`IsaacEngine`]).
+    pub fn config(&self, noise: f64, seed: u64) -> Option<RaellaConfig> {
+        let cfg = match self {
+            AblationSetup::Isaac => return None,
+            AblationSetup::CenterOffset => RaellaConfig {
+                encoding: WeightEncoding::CenterOffset,
+                input_mode: InputMode::BitSerial,
+                fixed_weight_slicing: Some(Slicing::isaac_weights()),
+                seed,
+                ..RaellaConfig::default()
+            },
+            AblationSetup::AdaptiveSlicing => RaellaConfig {
+                input_mode: InputMode::BitSerial,
+                search_vectors: 3,
+                seed,
+                ..RaellaConfig::default()
+            },
+            AblationSetup::Raella => RaellaConfig {
+                input_mode: InputMode::Speculative,
+                search_vectors: 3,
+                seed,
+                ..RaellaConfig::default()
+            },
+        };
+        Some(cfg.with_noise(noise))
     }
-}
 
-/// Engine wrapper so ablation callers get a single concrete type.
-#[derive(Debug)]
-pub enum SetupEngine {
-    /// The functional ISAAC baseline.
-    Isaac(IsaacEngine),
-    /// A RAELLA engine variant.
-    Raella(RaellaEngine),
-}
-
-impl SetupEngine {
-    /// Accumulated run statistics.
-    pub fn stats(&self) -> RunStats {
-        match self {
-            SetupEngine::Isaac(e) => e.stats,
-            SetupEngine::Raella(e) => *e.stats(),
+    /// Fraction of `images` whose top-1 class under this setup at a noise
+    /// level matches the integer reference's (see
+    /// [`crate::accuracy::top1_agreement`]). A RAELLA setup compiles its
+    /// [`AblationSetup::config`] and runs one batch; ISAAC runs the images
+    /// in order through one [`IsaacEngine`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates compile errors and operator shape errors for mis-shaped
+    /// images.
+    pub fn top1_agreement(
+        &self,
+        graph: &Graph,
+        images: &[Tensor<u8>],
+        noise: f64,
+        seed: u64,
+    ) -> Result<f64, CoreError> {
+        if let Some(cfg) = self.config(noise, seed) {
+            return top1_agreement(&CompiledModel::compile(graph, &cfg)?, images);
         }
-    }
-}
-
-impl MatVecEngine for SetupEngine {
-    fn layer_outputs(&mut self, layer: &MatrixLayer, inputs: &[Act]) -> Vec<u8> {
-        match self {
-            SetupEngine::Isaac(e) => e.layer_outputs(layer, inputs),
-            SetupEngine::Raella(e) => e.layer_outputs(layer, inputs),
-        }
+        let mut isaac = IsaacEngine::new(noise, seed);
+        let predictions = images
+            .iter()
+            .map(|image| graph.predict(image, &mut isaac))
+            .collect::<Result<Vec<_>, _>>()?;
+        reference_agreement(graph, images, &predictions)
     }
 }
 
@@ -127,9 +123,9 @@ impl MatVecEngine for SetupEngine {
 /// paper shows: unsigned weights have dense high-order bits, so column
 /// sums carry more charge and noise couples into high-order slices.
 ///
-/// Like [`RaellaEngine`], noise streams are derived per vector from
-/// `(seed, global vector index)`, so runs are deterministic for a given
-/// call sequence.
+/// Noise streams are derived per vector from `(seed, global vector
+/// index)`, counted across every call, so runs are deterministic for a
+/// given call sequence.
 #[derive(Debug)]
 pub struct IsaacEngine {
     rows: usize,
@@ -282,18 +278,18 @@ mod tests {
     }
 
     #[test]
-    fn setup_engines_run_a_small_layer() {
-        let layer = SynthLayer::conv(4, 4, 3, 59).build();
-        let inputs = layer.sample_inputs(2, 6);
-        let reference = layer.reference_outputs(&inputs);
+    fn noise_free_setups_agree_on_a_small_mini_model() {
+        // Noise-free ISAAC is exact by construction; the RAELLA setups'
+        // ideal-device errors change none of these predictions either.
+        let model = raella_nn::models::mini::mini_resnet18(3);
+        let images = model.sample_images(3, 5);
         for setup in AblationSetup::all() {
-            let mut engine = setup.engine(0.0, 7);
-            let outs = engine.layer_outputs(&layer, &inputs);
-            assert_eq!(outs.len(), reference.len(), "{}", setup.name());
-            // Noise-free setups stay within the error budget regime.
-            let err = raella_nn::quant::mean_error_nonzero(&reference, &outs);
-            assert!(err < 1.0, "{}: error {err}", setup.name());
-            assert!(engine.stats().events.adc_converts > 0, "{}", setup.name());
+            assert_eq!(
+                setup.config(0.0, 7).is_none(),
+                setup == AblationSetup::Isaac
+            );
+            let agreement = setup.top1_agreement(&model.graph, &images, 0.0, 7).unwrap();
+            assert_eq!(agreement, 1.0, "{}", setup.name());
         }
     }
 }

@@ -3,16 +3,19 @@
 //! The paper's error-budget metric (§4.2.1) is the mean |error| over
 //! *nonzero* 8b reference outputs; its accuracy results (Table 4, Fig. 15)
 //! measure how rarely those errors change model predictions. This module
-//! provides both: a per-layer [`FidelityReport`] and an accuracy-drop
-//! helper over mini models.
+//! provides both: a per-layer [`FidelityReport`] and a top-1 agreement
+//! over a [`CompiledModel`].
 
 use serde::{Deserialize, Serialize};
 
-use raella_nn::layers::MatVecEngine;
-use raella_nn::models::mini::MiniModel;
+use raella_nn::graph::Graph;
+use raella_nn::layers::ReferenceEngine;
 use raella_nn::quant::mean_error_nonzero;
+use raella_nn::tensor::Tensor;
 
 use crate::engine::RunStats;
+use crate::error::CoreError;
+use crate::model::CompiledModel;
 
 /// Fidelity of one layer's analog outputs against the integer reference.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -68,25 +71,43 @@ impl FidelityReport {
     }
 }
 
-/// Accuracy drop (percentage points) of an engine vs the integer reference
-/// on a mini model: `100·(1 − top-1 match rate)` — the proxy for the
-/// paper's Top-5-of-1000 accuracy drop. On 10-class minis, top-1 admits
-/// 10% of the label space, comparable in selectivity to Top-5 on 1000
-/// classes (`DESIGN.md` §5).
-pub fn accuracy_drop_percent(
-    model: &MiniModel,
-    engine: &mut dyn MatVecEngine,
-    images: usize,
-    seed: u64,
-) -> f64 {
-    100.0 * (1.0 - model.top1_match_rate(engine, images, seed))
+/// Fraction of `images` whose top-1 class under `model` (one
+/// [`CompiledModel::run_batch`]) matches the integer reference graph's —
+/// the proxy for the paper's Top-5-of-1000 accuracy, `100·(1 − agreement)`
+/// being the accuracy drop in percentage points. On 10-class minis, top-1
+/// admits 10% of the label space, comparable in selectivity to Top-5 on
+/// 1000 classes (`DESIGN.md` §5). An empty slice agrees on nothing (0).
+///
+/// # Errors
+///
+/// Propagates operator shape errors for mis-shaped images.
+pub fn top1_agreement(model: &CompiledModel, images: &[Tensor<u8>]) -> Result<f64, CoreError> {
+    let predictions = model.run_batch(images)?.predictions();
+    reference_agreement(model.graph(), images, &predictions)
+}
+
+/// Fraction of `images` whose reference top-1 class under `graph` equals
+/// the matching entry of `predictions`.
+pub(crate) fn reference_agreement(
+    graph: &Graph,
+    images: &[Tensor<u8>],
+    predictions: &[usize],
+) -> Result<f64, CoreError> {
+    let mut matches = 0usize;
+    for (image, &predicted) in images.iter().zip(predictions) {
+        if graph.predict(image, &mut ReferenceEngine)? == predicted {
+            matches += 1;
+        }
+    }
+    Ok(matches as f64 / images.len().max(1) as f64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use raella_nn::layers::ReferenceEngine;
+    use crate::{RaellaConfig, SharedCompileCache};
     use raella_nn::models::mini::mini_resnet18;
+    use raella_xbar::adc::AdcSpec;
 
     #[test]
     fn compare_computes_all_fields() {
@@ -111,10 +132,20 @@ mod tests {
     }
 
     #[test]
-    fn reference_engine_has_zero_accuracy_drop() {
+    fn exact_adc_agrees_with_the_reference_on_every_image() {
+        // A 16b ADC never saturates on these column sums, so the compiled
+        // model reproduces the integer reference's predictions exactly.
         let model = mini_resnet18(1);
-        let drop = accuracy_drop_percent(&model, &mut ReferenceEngine, 4, 9);
-        assert_eq!(drop, 0.0);
+        let cfg = RaellaConfig {
+            adc: AdcSpec::new(16, true),
+            search_vectors: 2,
+            ..RaellaConfig::default()
+        };
+        let compiled =
+            CompiledModel::compile_with_cache(&model.graph, &cfg, &SharedCompileCache::new())
+                .unwrap();
+        let images = model.sample_images(4, 9);
+        assert_eq!(top1_agreement(&compiled, &images).unwrap(), 1.0);
     }
 
     #[test]

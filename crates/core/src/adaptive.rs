@@ -234,7 +234,7 @@ mod tests {
         };
         let res = find_best_slicing(&layer, &cfg).unwrap();
         let compiled = CompiledLayer::with_slicing(&layer, res.slicing.clone(), &cfg).unwrap();
-        let report = compiled.check_fidelity(&layer, 4).unwrap();
+        let report = compiled.check_fidelity_at_age(&layer, 4, 0).unwrap();
         // Fresh inputs, speculation on: error stays in the same regime.
         assert!(
             report.mean_abs_error <= cfg.error_budget * 3.0 + 0.05,

@@ -416,26 +416,12 @@ impl CompiledLayer {
     }
 
     /// Compares analog outputs against the integer reference on `vectors`
-    /// fresh synthetic input vectors and reports fidelity (§4.2.1 metric).
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible but returns `Result` to keep room for
-    /// configuration-dependent failure reporting.
-    pub fn check_fidelity(
-        &self,
-        layer: &MatrixLayer,
-        vectors: usize,
-    ) -> Result<FidelityReport, CoreError> {
-        self.check_fidelity_at_age(layer, vectors, 0)
-    }
-
-    /// [`CompiledLayer::check_fidelity`] on a device aged `age` served
-    /// vectors since its last programming — how the server's watchdog
-    /// samples degradation mid-lifetime. The reference stays the pristine
-    /// integer model, so both programming error and accumulated relaxation
-    /// show up as real fidelity loss. Age 0 is exactly
-    /// [`CompiledLayer::check_fidelity`].
+    /// fresh synthetic input vectors and reports fidelity (§4.2.1 metric),
+    /// on a device aged `age` served vectors since its last programming
+    /// (0 = freshly programmed) — how the server's watchdog samples
+    /// degradation mid-lifetime. The reference stays the pristine integer
+    /// model, so both programming error and accumulated relaxation show
+    /// up as real fidelity loss.
     ///
     /// # Errors
     ///
@@ -540,12 +526,7 @@ fn calibration_fingerprint(layer: &MatrixLayer) -> u64 {
 /// every compile-relevant configuration field (`RaellaConfig`'s `Debug`
 /// output covers all of them, including slicing overrides, encoding, and
 /// seed).
-pub fn layer_cache_key(layer: &MatrixLayer, cfg: &RaellaConfig) -> String {
-    layer_key_with_cfg(layer, str_fingerprint(&format!("{cfg:?}")))
-}
-
-/// [`layer_cache_key`] with a precomputed configuration fingerprint.
-fn layer_key_with_cfg(layer: &MatrixLayer, cfg_fp: u64) -> String {
+fn layer_cache_key(layer: &MatrixLayer, cfg: &RaellaConfig) -> String {
     format!(
         "{}/{}x{}/{:016x}/{:016x}/{:016x}",
         layer.name(),
@@ -553,43 +534,17 @@ fn layer_key_with_cfg(layer: &MatrixLayer, cfg_fp: u64) -> String {
         layer.filter_len(),
         weight_fingerprint(layer),
         calibration_fingerprint(layer),
-        cfg_fp
+        str_fingerprint(&format!("{cfg:?}"))
     )
 }
 
-/// The state behind a [`SharedCompileCache`]: compiled layers by key,
-/// hit/miss counters, and memoized configuration fingerprints.
+/// The state behind a [`SharedCompileCache`]: compiled layers by key and
+/// hit/miss counters.
 #[derive(Debug, Default)]
 struct CacheState {
     entries: HashMap<String, Arc<CompiledLayer>>,
     hits: u64,
     misses: u64,
-    /// Memoized configuration fingerprints: the layer-streaming
-    /// [`crate::engine::RaellaEngine`] looks its layers up on every image
-    /// with the same few configurations, so each is equality-checked, not
-    /// re-formatted, per lookup. A shared cache may serve different
-    /// configs interleaved, hence a small scan list rather than a single
-    /// slot (bounded so a config sweep can't grow it without limit).
-    cfg_fps: Vec<(RaellaConfig, u64)>,
-}
-
-/// Upper bound on memoized configuration fingerprints (real processes
-/// hold a handful of configurations; sweeps evict oldest-first).
-const MAX_CFG_FPS: usize = 16;
-
-impl CacheState {
-    /// The fingerprint of `cfg`, memoized for the common few-configs case.
-    fn config_fingerprint(&mut self, cfg: &RaellaConfig) -> u64 {
-        if let Some((_, fp)) = self.cfg_fps.iter().find(|(cached, _)| cached == cfg) {
-            return *fp;
-        }
-        let fp = str_fingerprint(&format!("{cfg:?}"));
-        if self.cfg_fps.len() >= MAX_CFG_FPS {
-            self.cfg_fps.remove(0);
-        }
-        self.cfg_fps.push((cfg.clone(), fp));
-        fp
-    }
 }
 
 /// A thread-safe, shareable compilation cache: each distinct (layer
@@ -597,11 +552,14 @@ impl CacheState {
 /// share the same [`Arc<CompiledLayer>`].
 ///
 /// Cloning shares the underlying cache (`Arc<Mutex<_>>`), so every
-/// [`crate::model::CompiledModel`] / [`crate::engine::RaellaEngine`] /
-/// [`crate::server::RaellaServer`] built on the same handle deduplicates
-/// compiles: a layer reused across a network, a model recompiled under
-/// the same configuration, and layers shared by *different* models never
-/// pay the Algorithm 1 search twice.
+/// [`crate::model::CompiledModel`] / [`crate::server::RaellaServer`] built
+/// on the same handle deduplicates compiles: a layer reused across a
+/// network, a model recompiled under the same configuration, and layers
+/// shared by *different* models never pay the Algorithm 1 search twice.
+/// Every lookup, hit or miss, rebuilds the key: it fingerprints the
+/// layer's weights and calibration and formats the configuration. That
+/// is why models look their layers up once, at compile time, and never
+/// per image.
 /// [`SharedCompileCache::global`] returns the process-wide instance that
 /// [`crate::model::CompiledModel::compile`] uses by default.
 ///
@@ -669,8 +627,8 @@ impl SharedCompileCache {
         layer: &MatrixLayer,
         cfg: &RaellaConfig,
     ) -> Result<Arc<CompiledLayer>, CoreError> {
+        let key = layer_cache_key(layer, cfg);
         let mut state = self.lock();
-        let key = layer_key_with_cfg(layer, state.config_fingerprint(cfg));
         if let Some(hit) = state.entries.get(&key) {
             let hit = Arc::clone(hit);
             state.hits += 1;

@@ -213,6 +213,14 @@ impl RaellaConfig {
         self
     }
 
+    /// The noise-stream seed a [`crate::model::CompiledModel`] derives from
+    /// this configuration for every image it runs: an image's vectors are
+    /// numbered from 0 across its layers in execution order, and vector
+    /// `v` draws from `(noise_seed(), v)`.
+    pub fn noise_seed(&self) -> u64 {
+        self.seed ^ 0xE61E
+    }
+
     /// Number of input-slice cycles a psum set takes in this mode
     /// (11 with speculation, 8 bit-serial — §4.3.2).
     pub fn cycles_per_psum_set(&self) -> u64 {

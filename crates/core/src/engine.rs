@@ -106,13 +106,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use raella_nn::layers::MatVecEngine;
-use raella_nn::matrix::{Act, MatrixLayer};
+use raella_nn::matrix::Act;
 use raella_xbar::crossbar::EventCounts;
 use raella_xbar::noise::{NoiseModel, NoiseRng};
 use raella_xbar::slicing::Slice;
 
-use crate::compiler::{CompiledLayer, SharedCompileCache, PANEL_WIDTH};
+use crate::compiler::{CompiledLayer, PANEL_WIDTH};
 use crate::config::{InputMode, RaellaConfig, INPUT_BITS, MAX_CELL_BITS, SPEC_WINDOWS};
 use crate::parallel::{run_blocks, worker_count};
 use crate::scratch::{Entry, Split, VectorScratch, RECOVERY_BITS};
@@ -566,13 +565,14 @@ fn convert_lanes(sums: &[i32], (lo, hi): (i32, i32), shift: u32, totals: &mut [i
 /// Runs a batch of input vectors through a compiled layer, serially, on a
 /// device aged `base_age` served vectors since its last programming.
 ///
-/// Input layout matches [`MatrixLayer::reference_outputs`]; the output has
-/// `filters` values per vector. Vector `i` draws noise from substreams
-/// keyed by `(noise_seed, first_vector + i)` and runs at device age
-/// `base_age + first_vector + i`, so a batch split at any point and
-/// resumed with the same indices reproduces the whole batch exactly, and
-/// engines that stream several batches get fresh noise per batch by
-/// advancing `first_vector`. Age 0 is bit-identical to an un-aged device.
+/// Input layout matches
+/// [`MatrixLayer::reference_outputs`](raella_nn::matrix::MatrixLayer::reference_outputs);
+/// the output has `filters` values per vector. Vector `i` draws noise
+/// from substreams keyed by `(noise_seed, first_vector + i)` and runs at
+/// device age `base_age + first_vector + i`, so a batch split at any
+/// point and resumed with the same indices reproduces the whole batch
+/// exactly, and engines that stream several batches get fresh noise per
+/// batch by advancing `first_vector`. Age 0 is bit-identical to an un-aged device.
 ///
 /// # Panics
 ///
@@ -595,8 +595,7 @@ pub fn run_batch_at_age(
 /// thread count, noisy or not and at any age: a vector's noise streams and
 /// drift epoch depend only on `(noise_seed, vector index, base_age)`, never
 /// on which worker runs it, and [`RunStats::merge`] is commutative. This
-/// is the default path of [`CompiledLayer::check_fidelity`] and
-/// [`RaellaEngine`].
+/// is the path of [`CompiledLayer::check_fidelity_at_age`].
 ///
 /// # Panics
 ///
@@ -1411,103 +1410,6 @@ fn run_column_bitserial(
     total
 }
 
-/// A [`MatVecEngine`] that runs every layer through RAELLA, compiling and
-/// caching layers on first use. Drop-in replacement for the integer
-/// reference engine in graph execution — the accuracy experiments' engine.
-///
-/// Batches execute through [`run_batch_parallel_at_age`] on an un-aged
-/// device (age 0). Results are deterministic for a given construction
-/// seed and call sequence: the engine assigns every processed vector a
-/// global index, and each vector's noise stream is derived from
-/// `(seed, index)` alone.
-#[derive(Debug)]
-pub struct RaellaEngine {
-    cfg: RaellaConfig,
-    cache: SharedCompileCache,
-    stats: RunStats,
-    noise_seed: u64,
-    next_vector: u64,
-}
-
-impl RaellaEngine {
-    /// Creates an engine with the given configuration and a private
-    /// compile cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid configuration (see
-    /// [`RaellaEngine::with_cache`]).
-    pub fn new(cfg: RaellaConfig) -> Self {
-        Self::with_cache(cfg, SharedCompileCache::new())
-    }
-
-    /// Creates an engine that compiles through `cache` — pass
-    /// [`SharedCompileCache::global`] (or any shared handle) to dedupe
-    /// compiles with other engines and [`crate::model::CompiledModel`]s in
-    /// the process.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid configuration — the streaming
-    /// [`MatVecEngine`] interface has no per-call error channel, so the
-    /// configuration is checked here, at construction, where the mistake
-    /// is local and the message is clear.
-    pub fn with_cache(cfg: RaellaConfig, cache: SharedCompileCache) -> Self {
-        cfg.validate()
-            .expect("RaellaEngine requires a valid configuration");
-        let noise_seed = noise_seed_for(&cfg);
-        RaellaEngine {
-            cfg,
-            cache,
-            stats: RunStats::default(),
-            noise_seed,
-            next_vector: 0,
-        }
-    }
-
-    /// Statistics accumulated so far.
-    pub fn stats(&self) -> &RunStats {
-        &self.stats
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &RaellaConfig {
-        &self.cfg
-    }
-
-    /// Number of layers compiled and cached.
-    pub fn compiled_layers(&self) -> usize {
-        self.cache.len()
-    }
-}
-
-/// The noise-stream seed every execution front end derives from a
-/// configuration. [`RaellaEngine`] and [`crate::model::CompiledModel`]
-/// share it, which is what makes whole-model batched runs bit-identical to
-/// per-image engine runs.
-pub(crate) fn noise_seed_for(cfg: &RaellaConfig) -> u64 {
-    cfg.seed ^ 0xE61E
-}
-
-impl MatVecEngine for RaellaEngine {
-    fn layer_outputs(&mut self, layer: &MatrixLayer, inputs: &[Act]) -> Vec<u8> {
-        let compiled = self
-            .cache
-            .get_or_compile(layer, &self.cfg)
-            .expect("engine configuration was validated at construction");
-        let out = run_batch_parallel_at_age(
-            &compiled,
-            inputs,
-            &mut self.stats,
-            self.noise_seed,
-            self.next_vector,
-            0,
-        );
-        self.next_vector += (inputs.len() / layer.filter_len()) as u64;
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1693,18 +1595,6 @@ mod tests {
         ));
         assert_eq!(first, at0);
         assert_eq!(sa, s0);
-    }
-
-    #[test]
-    fn engine_caches_compiled_layers() {
-        let layer = SynthLayer::conv(8, 4, 3, 43).build();
-        let mut engine = RaellaEngine::new(cfg_small());
-        let inputs = layer.sample_inputs(2, 1);
-        let _ = engine.layer_outputs(&layer, &inputs);
-        assert_eq!(engine.compiled_layers(), 1);
-        let _ = engine.layer_outputs(&layer, &inputs);
-        assert_eq!(engine.compiled_layers(), 1);
-        assert_eq!(engine.stats().vectors, 4);
     }
 
     #[test]

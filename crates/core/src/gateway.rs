@@ -82,7 +82,7 @@ use std::time::Duration;
 use raella_energy::EnergyBreakdown;
 use raella_nn::tensor::Tensor;
 
-use crate::server::{Admission, RaellaServer, RequestHandle, Response};
+use crate::server::{join_or_resume, Admission, RaellaServer, RequestHandle, Response};
 
 /// Largest accepted frame payload (16 MiB) — a length prefix beyond this
 /// is a protocol violation: the gateway answers a status-1 error frame
@@ -761,7 +761,7 @@ impl Gateway {
         }
         let mut threads = self.threads.lock().unwrap_or_else(PoisonError::into_inner);
         for handle in threads.drain(..) {
-            let _ = handle.join();
+            join_or_resume(handle);
         }
     }
 }

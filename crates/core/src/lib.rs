@@ -71,7 +71,7 @@
 //! let layer = SynthLayer::conv(64, 16, 3, 7).build();
 //! let cfg = RaellaConfig::default();
 //! let compiled = CompiledLayer::compile(&layer, &cfg)?;
-//! let report = compiled.check_fidelity(&layer, 4)?;
+//! let report = compiled.check_fidelity_at_age(&layer, 4, 0)?;
 //! assert!(report.mean_abs_error <= cfg.error_budget);
 //! # Ok(())
 //! # }
@@ -104,7 +104,7 @@ pub use accuracy::FidelityReport;
 pub use compiler::{CompiledLayer, SharedCompileCache};
 pub use config::{RaellaConfig, WeightEncoding};
 pub use energy::{EnergyProfile, LayerEnergy};
-pub use engine::{RaellaEngine, RunStats};
+pub use engine::RunStats;
 pub use error::CoreError;
 pub use gateway::{block_on, Gateway, GatewayClient, LocalPool};
 pub use model::{BatchResult, CompiledModel};

@@ -14,19 +14,19 @@
 //! # Determinism contract
 //!
 //! Each image executes against its own noise-stream state: the stream seed
-//! is derived from the configuration alone ([`RaellaConfig::seed`]), and
-//! the per-image vector counter restarts at zero, exactly as a fresh
-//! [`RaellaEngine`] walking that one image would count. Consequently:
+//! is [`RaellaConfig::noise_seed`], derived from the configuration alone,
+//! and the image's vectors are numbered from zero across its layers in
+//! execution order. Consequently:
 //!
-//! * batched outputs are bit-identical to per-image [`Graph::run`] with a
-//!   fresh [`RaellaEngine`] under the same configuration,
+//! * an image's result equals walking the graph with each layer compiled
+//!   on its own and run through
+//!   [`run_batch_at_age`](crate::engine::run_batch_at_age) under that seed
+//!   and a vector counter that starts at zero for the image,
 //! * an image's result does not depend on its batch position, the batch
 //!   size, or the surrounding images, and
 //! * results are bit-identical at any worker count (`RAELLA_THREADS` pins
 //!   it), noisy or not, because image work items are fully independent and
 //!   [`RunStats::merge`] is associative and commutative.
-//!
-//! [`RaellaEngine`]: crate::engine::RaellaEngine
 
 use std::sync::Arc;
 
@@ -37,7 +37,7 @@ use raella_nn::tensor::Tensor;
 
 use crate::compiler::{CompiledLayer, SharedCompileCache};
 use crate::config::RaellaConfig;
-use crate::engine::{noise_seed_for, RunStats};
+use crate::engine::RunStats;
 use crate::error::CoreError;
 use crate::parallel::worker_count_for;
 use crate::shard::{run_batch_placed, run_image_placed};
@@ -139,7 +139,6 @@ pub struct CompiledModel {
     /// node; repeated layers share an [`Arc`]).
     layers: Vec<Arc<CompiledLayer>>,
     cfg: RaellaConfig,
-    noise_seed: u64,
 }
 
 impl CompiledModel {
@@ -182,7 +181,6 @@ impl CompiledModel {
             graph: graph.clone(),
             plan,
             layers,
-            noise_seed: noise_seed_for(cfg),
             cfg: cfg.clone(),
         })
     }
@@ -224,7 +222,7 @@ impl CompiledModel {
     /// module docs) — sharded execution reuses it so placement never
     /// changes the draw.
     pub(crate) fn noise_seed(&self) -> u64 {
-        self.noise_seed
+        self.cfg.noise_seed()
     }
 
     /// The validated execution plan — sharded execution walks the same
@@ -511,7 +509,6 @@ impl CompiledModel {
             graph: self.graph.clone(),
             plan: self.graph.plan()?,
             layers,
-            noise_seed: self.noise_seed,
             cfg,
         })
     }

@@ -17,6 +17,7 @@
 //! [`Recalibrator`] (policy, sample size, counters) — never the queue.
 
 use std::collections::HashMap;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
@@ -292,7 +293,10 @@ impl Recalibrator {
     ///
     /// Returns `Ok(false)` without swapping when another recalibration of
     /// the same model is in flight, when the watchdog found nothing to
-    /// do, or when the policy returned [`RecalibrationAction::None`].
+    /// do, or when the policy returned [`RecalibrationAction::None`]. A
+    /// panic on this path (a custom policy's, say) comes back as
+    /// [`CoreError::Server`]; the guard is released however the call
+    /// ends, so the next call recalibrates normally.
     pub(crate) fn recalibrate(
         &self,
         served: &ServedModel,
@@ -302,7 +306,14 @@ impl Recalibrator {
         if served.recalibrating.swap(true, Ordering::SeqCst) {
             return Ok(false);
         }
-        let result = self.recalibrate_guarded(served, model, trigger);
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            self.recalibrate_guarded(served, model, trigger)
+        }))
+        .unwrap_or_else(|_| {
+            Err(CoreError::Server(format!(
+                "recalibration of model {model} ({trigger:?}) panicked"
+            )))
+        });
         served.recalibrating.store(false, Ordering::SeqCst);
         result
     }

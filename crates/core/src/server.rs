@@ -1432,6 +1432,16 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
+/// Joins `handle`, re-raising the thread's panic unless this thread is
+/// already unwinding (a shutdown run from `Drop` during a panic).
+pub(crate) fn join_or_resume(handle: JoinHandle<()>) {
+    if let Err(panic) = handle.join() {
+        if !std::thread::panicking() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+}
+
 /// Duration → whole [`TICK`]s.
 pub(crate) fn ticks(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
@@ -1547,7 +1557,8 @@ impl ServerMetrics {
     }
 
     /// Watchdog-triggered recalibration attempts that failed (a fidelity
-    /// sample or the policy's action was rejected), across all models.
+    /// sample or the policy's action was rejected, or the policy
+    /// panicked), across all models.
     /// Manual and fault-triggered attempts return their error to the
     /// caller instead. The server keeps serving on the unchanged plan.
     pub fn recalibration_errors(&self) -> u64 {
@@ -1990,9 +2001,10 @@ impl RaellaServer {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Server`] for an out-of-range index or an
-    /// action the live state cannot honor, and propagates reprogramming
-    /// errors (the old snapshot stays live either way).
+    /// Returns [`CoreError::Server`] for an out-of-range index, an
+    /// action the live state cannot honor or a panicking policy, and
+    /// propagates reprogramming errors (the old snapshot stays live
+    /// either way).
     pub fn recalibrate(&self, index: usize) -> Result<bool, CoreError> {
         let served = self.served(index)?;
         self.shared
@@ -2020,9 +2032,9 @@ impl RaellaServer {
     /// # Errors
     ///
     /// Returns [`CoreError::Server`] for an out-of-range model index, an
-    /// unsharded model, or a tile the plan does not have — and when every
-    /// tile has failed (the server refuses to shrink onto nothing; the
-    /// stale plan stays live).
+    /// unsharded model, a tile the plan does not have or a panicking
+    /// policy — and when every tile has failed (the server refuses to
+    /// shrink onto nothing; the stale plan stays live).
     pub fn fail_tile(&self, index: usize, tile: usize) -> Result<bool, CoreError> {
         let served = self.served(index)?;
         served.fail_tile(index, tile)?;
@@ -2112,7 +2124,7 @@ impl RaellaServer {
         self.shared.space.notify_all();
         let mut workers = lock(&self.workers);
         for handle in workers.drain(..) {
-            let _ = handle.join();
+            join_or_resume(handle);
         }
     }
 }

@@ -2,8 +2,10 @@
 //! exercises every operator (conv, linear, max-pool, global-avg-pool,
 //! residual add, channel slice/concat/shuffle):
 //!
-//! * batched outputs are bit-identical to per-image `Graph::run` through a
-//!   fresh `RaellaEngine` — the compile-once/run-batch path changes the
+//! * batched outputs are bit-identical to per-image `Graph::run` through
+//!   an oracle that compiles each layer on its own and runs it with
+//!   `run_batch_at_age` under `RaellaConfig::noise_seed` and a per-image
+//!   vector counter — the compile-once/run-batch path changes the
 //!   schedule, never the bytes;
 //! * results are invariant across `RAELLA_THREADS` ∈ {1, 2, 4, 8}, in
 //!   both ideal and noisy modes, statistics included;
@@ -21,11 +23,13 @@
 //! mutated concurrently (integration-test binaries are separate
 //! processes, so nothing outside this file observes it either).
 
-use raella_core::engine::RaellaEngine;
+use raella_core::engine::run_batch_at_age;
 use raella_core::model::CompiledModel;
 use raella_core::server::{Admission, RaellaServer};
-use raella_core::{RaellaConfig, RunStats, SharedCompileCache};
+use raella_core::{CompiledLayer, RaellaConfig, RunStats, SharedCompileCache};
 use raella_nn::graph::Graph;
+use raella_nn::layers::MatVecEngine;
+use raella_nn::matrix::{Act, MatrixLayer};
 use raella_nn::rng::SynthRng;
 use raella_nn::synth::SynthLayer;
 use raella_nn::tensor::Tensor;
@@ -53,6 +57,31 @@ fn all_ops_graph() -> Graph {
     g
 }
 
+/// The per-image oracle: every layer compiled on its own (no cache) and
+/// run on an un-aged device, with the image's vectors numbered from 0
+/// across its layers.
+struct LayerByLayer<'c> {
+    cfg: &'c RaellaConfig,
+    next_vector: u64,
+}
+
+impl MatVecEngine for LayerByLayer<'_> {
+    fn layer_outputs(&mut self, layer: &MatrixLayer, inputs: &[Act]) -> Vec<u8> {
+        let compiled = CompiledLayer::compile(layer, self.cfg).expect("compiles");
+        let first = self.next_vector;
+        self.next_vector += (inputs.len() / layer.filter_len()) as u64;
+        let mut stats = RunStats::default();
+        run_batch_at_age(
+            &compiled,
+            inputs,
+            &mut stats,
+            self.cfg.noise_seed(),
+            first,
+            0,
+        )
+    }
+}
+
 fn sample_image(seed: u64) -> Tensor<u8> {
     let mut rng = SynthRng::new(seed ^ 0xD0D0);
     let data: Vec<u8> = (0..4 * 8 * 8)
@@ -75,13 +104,16 @@ fn run_batch_is_bit_identical_to_serial_and_thread_invariant() {
         let model = CompiledModel::compile(&graph, &cfg).expect("compiles");
         let images: Vec<Tensor<u8>> = (0..3).map(|i| sample_image(100 + i)).collect();
 
-        // Acceptance bar: every image of the batch matches a fresh
-        // per-image engine walking the graph the pre-CompiledModel way.
+        // Acceptance bar: every image of the batch matches the per-image
+        // oracle walking the graph layer by layer.
         let baseline: Vec<Tensor<u8>> = images
             .iter()
             .map(|img| {
-                let mut engine = RaellaEngine::new(cfg.clone());
-                graph.run(img, &mut engine).expect("runs")
+                let mut oracle = LayerByLayer {
+                    cfg: &cfg,
+                    next_vector: 0,
+                };
+                graph.run(img, &mut oracle).expect("runs")
             })
             .collect();
         let batch = model.run_batch(&images).expect("runs");

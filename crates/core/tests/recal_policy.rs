@@ -8,7 +8,9 @@
 //! `ServerMetrics::recalibration_errors` when the watchdog triggered
 //! them — instead of corrupting the live plan.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use raella_arch::tile::TileSpec;
 use raella_core::compiler::SharedCompileCache;
@@ -16,7 +18,7 @@ use raella_core::model::CompiledModel;
 use raella_core::server::{energy_config_ladder, Admission, RaellaServer};
 use raella_core::shard::ShardPlan;
 use raella_core::{
-    DeviceLifetime, RaellaConfig, RecalContext, RecalTrigger, RecalibrationAction,
+    CoreError, DeviceLifetime, RaellaConfig, RecalContext, RecalTrigger, RecalibrationAction,
     RecalibrationPolicy, RotatePolicy, RunStats,
 };
 use raella_nn::graph::{Graph, ValueArena};
@@ -585,4 +587,71 @@ fn watchdog_decides_from_the_snapshot_it_sampled() {
             "the watchdog decided at age 0 on breaches sampled before the swap: {seen:?}"
         );
     }
+}
+
+/// Panics on every odd-numbered consultation and reprograms everything
+/// on every even-numbered one.
+#[derive(Debug, Default)]
+struct PanicsEveryOtherCall {
+    calls: AtomicUsize,
+}
+
+impl RecalibrationPolicy for PanicsEveryOtherCall {
+    fn decide(&self, _ctx: &RecalContext<'_>) -> RecalibrationAction {
+        if self.calls.fetch_add(1, Ordering::SeqCst).is_multiple_of(2) {
+            panic!("policy failure injected by the test");
+        }
+        RecalibrationAction::ReprogramAll { map: None }
+    }
+}
+
+#[test]
+fn a_panicking_policy_neither_wedges_the_model_nor_kills_the_worker() {
+    // Same breach-at-every-sample device as above, so every watchdog
+    // check consults the policy.
+    let drift_cfg = RaellaConfig {
+        error_budget: 0.0,
+        ..cfg()
+    }
+    .with_noise(0.05)
+    .with_lifetime(DeviceLifetime::new(0.3, 0.5, 1_000_000));
+    let cache = SharedCompileCache::new();
+    let server = builder(&drift_cfg, &cache)
+        .workers(1)
+        .recalibration_policy(PanicsEveryOtherCall::default())
+        .watchdog_interval(1)
+        .build()
+        .expect("server builds");
+
+    // Manual trigger: the panic is an error, and it releases the guard,
+    // so the next call (which the policy answers) swaps.
+    match server.recalibrate(0) {
+        Err(CoreError::Server(msg)) => assert!(msg.contains("panicked"), "{msg}"),
+        other => panic!("a policy panic must surface as a server error: {other:?}"),
+    }
+    assert_eq!(server.generation(0), 0);
+    assert!(server.recalibrate(0).expect("second manual recalibration"));
+    assert_eq!(server.generation(0), 1);
+
+    // Watchdog trigger: the first completion's check panics in the one
+    // worker, which must keep serving.
+    for seed in 0..2 {
+        let resp = server
+            .submit(0, image(seed), Admission::Block)
+            .expect("admits")
+            .wait_timeout(Duration::from_secs(30))
+            .expect("the worker survives a panicking watchdog check")
+            .expect("request succeeds");
+        assert_eq!(resp.sequence(), seed);
+    }
+    // Joining the workers lets the last completion's check land.
+    server.shutdown();
+    let metrics = server.metrics();
+    assert_eq!(metrics.served(), &[2]);
+    assert_eq!(
+        metrics.recalibration_errors(),
+        1,
+        "the panicking watchdog check is counted"
+    );
+    assert_eq!(server.generation(0), 2, "the answered watchdog check swaps");
 }

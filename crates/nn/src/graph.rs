@@ -632,21 +632,6 @@ impl Graph {
         let out = self.run(input, engine)?;
         Ok(argmax(out.as_slice()))
     }
-
-    /// Indices of the `k` largest outputs, best first.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Graph::run`].
-    pub fn predict_top_k(
-        &self,
-        input: &Tensor<u8>,
-        engine: &mut dyn MatVecEngine,
-        k: usize,
-    ) -> Result<Vec<usize>, NnError> {
-        let out = self.run(input, engine)?;
-        Ok(top_k(out.as_slice(), k))
-    }
 }
 
 /// Index of the maximum element (first one on ties). Returns 0 for empty.
@@ -656,14 +641,6 @@ pub fn argmax(xs: &[u8]) -> usize {
         .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
         .map(|(i, _)| i)
         .unwrap_or(0)
-}
-
-/// Indices of the `k` largest elements, best first (stable on ties).
-pub fn top_k(xs: &[u8], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..xs.len()).collect();
-    idx.sort_by(|&a, &b| xs[b].cmp(&xs[a]).then(a.cmp(&b)));
-    idx.truncate(k);
-    idx
 }
 
 #[cfg(test)]
@@ -752,11 +729,9 @@ mod tests {
     }
 
     #[test]
-    fn argmax_and_top_k() {
+    fn argmax_picks_the_first_maximum() {
         assert_eq!(argmax(&[1, 9, 3]), 1);
         assert_eq!(argmax(&[5, 5]), 0);
-        assert_eq!(top_k(&[1, 9, 3, 7], 2), vec![1, 3]);
-        assert_eq!(top_k(&[1], 5), vec![0]);
     }
 
     #[test]

@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..RaellaConfig::default()
         };
         let compiled = CompiledLayer::compile(&layer, &cfg)?;
-        let report = compiled.check_fidelity(&layer, 5)?;
+        let report = compiled.check_fidelity_at_age(&layer, 5, 0)?;
         let converts_per_column = report.stats.converts_per_column();
         println!(
             "{:>4}b  {:>12}  {:>12.4}  {:>14.2}  {:>12.2}",
@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..RaellaConfig::default()
         };
         let compiled = CompiledLayer::compile(&layer, &cfg)?;
-        let report = compiled.check_fidelity(&layer, 5)?;
+        let report = compiled.check_fidelity_at_age(&layer, 5, 0)?;
         println!(
             "{:>8.2}  {:>12}  {:>8}  {:>12.4}",
             budget,

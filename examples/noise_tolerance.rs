@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         .with_noise(level);
         let compiled = CompiledLayer::compile(&layer, &cfg)?;
-        let report = compiled.check_fidelity(&layer, 6)?;
+        let report = compiled.check_fidelity_at_age(&layer, 6, 0)?;
         println!(
             "{:>5.0}%  {:>12}  {:>10}  {:>12.4}  {:>9.1}%",
             level * 100.0,

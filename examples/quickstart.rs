@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Run fresh inputs through the analog pipeline and compare against the
     // exact integer reference.
-    let report = compiled.check_fidelity(&layer, 8)?;
+    let report = compiled.check_fidelity_at_age(&layer, 8, 0)?;
     println!(
         "fidelity: mean |error| {:.4} on {} outputs (budget {}), max error {}",
         report.mean_abs_error, report.outputs, cfg.error_budget, report.max_abs_error

@@ -37,7 +37,7 @@
 //! let layer = SynthLayer::conv(64, 32, 3, 0xC0FFEE).build();
 //! let cfg = RaellaConfig::default();
 //! let compiled = CompiledLayer::compile(&layer, &cfg)?;
-//! let report = compiled.check_fidelity(&layer, 4)?;
+//! let report = compiled.check_fidelity_at_age(&layer, 4, 0)?;
 //! assert!(report.mean_abs_error <= cfg.error_budget);
 //! # Ok(())
 //! # }
@@ -101,10 +101,10 @@ pub mod prelude {
         block_on, energy_config_ladder, Admission, BatchResult, CompiledLayer, CompiledModel,
         ComponentPrices, CoreError, DeviceLifetime, EnergyBreakdown, EnergyMeter, EnergyProfile,
         FidelityReport, Gateway, GatewayClient, LayerBreach, LayerEnergy, LocalPool, MeterEvents,
-        MeterGeometry, RaellaConfig, RaellaEngine, RaellaServer, RecalContext, RecalTrigger,
-        RecalibrationAction, RecalibrationPolicy, RequestHandle, Response, RotatePolicy, RunStats,
-        ServerBuilder, ServerMetrics, ShardPlan, SharedCompileCache, VectorScratch,
-        WearAwarePolicy, WeightEncoding,
+        MeterGeometry, RaellaConfig, RaellaServer, RecalContext, RecalTrigger, RecalibrationAction,
+        RecalibrationPolicy, RequestHandle, Response, RotatePolicy, RunStats, ServerBuilder,
+        ServerMetrics, ShardPlan, SharedCompileCache, VectorScratch, WearAwarePolicy,
+        WeightEncoding,
     };
     pub use raella_nn::graph::Graph;
     pub use raella_nn::rng::SynthRng;

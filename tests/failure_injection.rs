@@ -87,7 +87,7 @@ fn extreme_noise_degrades_but_never_panics() {
         }
         .with_noise(level);
         let compiled = CompiledLayer::compile(&layer, &cfg).expect("compiles");
-        let report = compiled.check_fidelity(&layer, 2).expect("runs");
+        let report = compiled.check_fidelity_at_age(&layer, 2, 0).expect("runs");
         assert!(report.mean_abs_error.is_finite());
         // At absurd noise the search must have fallen back to narrow slices.
         assert!(
@@ -116,7 +116,7 @@ fn degenerate_filters_compile_and_run() {
         ..RaellaConfig::default()
     };
     let compiled = CompiledLayer::compile(&layer, &cfg).expect("compiles");
-    let report = compiled.check_fidelity(&layer, 3).expect("runs");
+    let report = compiled.check_fidelity_at_age(&layer, 3, 0).expect("runs");
     assert_eq!(report.mean_abs_error, 0.0, "zero offsets are exact");
 }
 

@@ -16,6 +16,10 @@
 //!   server (three batch budgets) ≥ 2×, sharding (2 and 4 tiles against
 //!   one) ≥ 1.01×. Fewer cores oversubscribe the worker count, so the
 //!   floors cannot be reached there.
+//! * **Gateway ceiling** (any core count, unix): median wall-clock
+//!   round trip of one tiny request through [`GatewayClient`] → one IO
+//!   thread → a one-worker server and back, sequential and closed-loop,
+//!   so it is all wake-up and delivery latency.
 //! * **Pause ceiling** (any core count): the server's own
 //!   [`ServerMetrics::recalibration_pause_ticks`], totalled over 12 live
 //!   recalibrations and over the tile-kill drill, each ≤ 250 ms. A total
@@ -26,6 +30,7 @@
 //! `server_stress`, …), not here.
 //!
 //! [`ServerMetrics::recalibration_pause_ticks`]: raella_core::ServerMetrics::recalibration_pause_ticks
+//! [`GatewayClient`]: raella_core::GatewayClient
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -56,6 +61,15 @@ const SINGLE_THREAD_CEILING: Duration = Duration::from_micros(9_400);
 /// Images (and rounds over them) timed for the single-thread ceiling.
 const SINGLE_THREAD_IMAGES: usize = 16;
 const SINGLE_THREAD_ROUNDS: usize = 3;
+/// Gateway round-trip ceiling: 3× the median of 25 gate runs on a
+/// shared 2-vCPU x86-64 host, where IO threads waiting in `poll(2)`
+/// measured medians of 33–89 µs (median of the 25: 68.3 µs). IO threads
+/// that parked up to 500 µs between sweeps read 645–753 µs in 25 runs
+/// interleaved with those, so the ceiling fails on them.
+const GATEWAY_CEILING: Duration = Duration::from_micros(205);
+/// Untimed and timed sequential round trips for the gateway ceiling.
+const GATEWAY_WARMUP: usize = 50;
+const GATEWAY_ROUND_TRIPS: usize = 500;
 /// Cores below which the speedup floors are printed but not enforced.
 const SPEEDUP_CORES: usize = 4;
 /// Ceiling on each total recalibration pause.
@@ -267,6 +281,55 @@ fn shard_floor() {
     speedup_floor("shard 2/4 tiles", worst, 1.01);
 }
 
+/// Sequential round trips of a 2-input, 1-layer model through the
+/// gateway: one client, one IO thread, one worker, no batching wait.
+#[cfg(unix)]
+fn gateway_ceiling() {
+    use raella_core::{Gateway, GatewayClient};
+    use std::sync::Arc;
+
+    let mut graph = Graph::new();
+    let input = graph.input();
+    let gap = graph.global_avg_pool(input);
+    let fc = graph.linear(gap, SynthLayer::linear(2, 3, 7).build());
+    graph.set_output(fc);
+    let cfg = RaellaConfig {
+        crossbar_rows: 64,
+        crossbar_cols: 64,
+        search_vectors: 2,
+        ..RaellaConfig::default()
+    };
+    let server = Arc::new(
+        RaellaServer::builder()
+            .model(&graph, &cfg)
+            .workers(1)
+            .latency_budget_ticks(0)
+            .build()
+            .expect("tiny server builds"),
+    );
+    let gateway = Gateway::builder(Arc::clone(&server))
+        .io_threads(1)
+        .bind("127.0.0.1:0")
+        .expect("gateway binds");
+    let mut client = GatewayClient::connect(gateway.local_addr()).expect("client connects");
+    let image = Tensor::from_vec(vec![9, 23], &[2, 1, 1]).expect("consistent image");
+    let mut round_trip = |tag: usize| {
+        client.send(tag as u64, 0, &image).expect("request sends");
+        let resp = client.recv().expect("response arrives");
+        resp.result.expect("request served");
+    };
+    (0..GATEWAY_WARMUP).for_each(&mut round_trip);
+    let mut times: Vec<f64> = (0..GATEWAY_ROUND_TRIPS)
+        .map(|tag| secs(|| round_trip(tag)))
+        .collect();
+    gateway.shutdown();
+    server.shutdown();
+    times.sort_by(f64::total_cmp);
+    let name = format!("gateway round trip, median of {}", times.len());
+    let median = Duration::from_secs_f64(times[times.len() / 2]);
+    ceiling(&name, median, GATEWAY_CEILING);
+}
+
 /// Total recalibration pause the server itself metered.
 fn pause(metrics: &ServerMetrics) -> Duration {
     TICK * u32::try_from(metrics.recalibration_pause_ticks()).unwrap_or(u32::MAX)
@@ -367,5 +430,7 @@ fn main() {
     graph_floor(&model, &images[..8]);
     serve_floor(&mini.graph, &cfg, &cache, &images);
     shard_floor();
+    #[cfg(unix)]
+    gateway_ceiling();
     pause_ceiling();
 }

@@ -341,7 +341,7 @@ impl CompiledLayer {
     /// geometry-violating layers in engine unit tests (the event-counting
     /// path debug-asserts that every filter's group `gi` shares
     /// `row_start`/`rows`).
-    #[cfg(test)]
+    #[cfg(all(test, debug_assertions))]
     pub(crate) fn groups_mut(&mut self) -> &mut Vec<Vec<FilterGroup>> {
         &mut self.groups
     }

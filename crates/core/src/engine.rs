@@ -99,8 +99,8 @@
 //!
 //! The kernel is one portable source body. On x86-64, each entry point
 //! checks once per call whether the CPU has AVX2 and, if so, runs the
-//! same body through a wrapper compiled with AVX2 enabled (the one
-//! `unsafe` call in this crate); otherwise, and on every other target, it
+//! same body through a wrapper compiled with AVX2 enabled (one of the
+//! crate's two `unsafe` calls, with the gateway's `poll(2)`); otherwise, and on every other target, it
 //! runs the body as built. No build flag or setting selects the path,
 //! and both produce identical bytes and statistics.
 

@@ -18,11 +18,15 @@
 //!   protocol: model id + image bytes in, prediction +
 //!   `(generation, age)` + a [`crate::engine::RunStats`] summary (and
 //!   the full output bytes, so clients can verify bit-identity) out.
-//!   A fixed pool of IO threads sweeps nonblocking sockets for
-//!   readiness and parks between sweeps; request completions wake the
-//!   owning IO thread through the same `on_complete` hook — holding
-//!   10 000 requests in flight costs 10 000 notification cells and
-//!   **zero** additional threads.
+//!   A fixed pool of IO threads owns the nonblocking sockets. Each
+//!   blocks in one `poll(2)` over its wake pipe, the listener and the
+//!   connections that want to read or write, then pumps only the
+//!   sockets that are ready. Request completions wake the owning IO
+//!   thread through the same `on_complete` hook, by one byte on its
+//!   wake pipe — holding 10 000 requests in flight costs 10 000
+//!   notification cells and **zero** additional threads. The socket
+//!   front end is unix-only; the executors, the wire codec and
+//!   [`GatewayClient`] build everywhere.
 //!
 //! # Wire protocol
 //!
@@ -59,7 +63,10 @@
 //! are answered, not ghosted: an inbound length prefix beyond
 //! [`MAX_FRAME`] gets a status-1 frame before the connection closes,
 //! and an outbound response that would not fit the cap is replaced by
-//! a status-1 frame on a healthy connection.
+//! a status-1 frame on a healthy connection. A connection whose
+//! unsent responses pass [`WRITE_HIGH_WATER`] bytes is not read from
+//! until its client has taken enough of them: a client that pipelines
+//! without reading stalls its own sends, not the gateway's memory.
 //!
 //! # Determinism
 //!
@@ -71,18 +78,24 @@
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::task::{Context, Poll, Wake, Waker};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use raella_energy::EnergyBreakdown;
 use raella_nn::tensor::Tensor;
 
-use crate::server::{join_or_resume, Admission, RaellaServer, RequestHandle, Response};
+use crate::server::Response;
+#[cfg(unix)]
+use {
+    crate::server::{join_or_resume, Admission, RaellaServer, RequestHandle},
+    std::io::{PipeReader, PipeWriter},
+    std::net::{SocketAddr, TcpListener},
+    std::os::fd::AsRawFd,
+    std::sync::atomic::{AtomicBool, Ordering},
+    std::thread::JoinHandle,
+};
 
 /// Largest accepted frame payload (16 MiB) — a length prefix beyond this
 /// is a protocol violation: the gateway answers a status-1 error frame
@@ -96,10 +109,12 @@ pub const MAX_FRAME: usize = 1 << 24;
 /// rejects frames carrying any other version.
 pub const WIRE_VERSION: u8 = 2;
 
-/// How long an idle IO thread parks between readiness sweeps when no
-/// completion wakes it sooner. Bounds the added latency of a request
-/// arriving on a quiet socket.
-const POLL_INTERVAL: Duration = Duration::from_micros(500);
+/// Unsent response bytes past which a connection is not read from: its
+/// requests stay in the kernel's socket buffers, and its client's
+/// sends stall, until the client has read the backlog back below this
+/// mark. Requests admitted before the mark was reached still complete,
+/// so a backlog can overshoot it by their responses.
+pub const WRITE_HIGH_WATER: usize = 1 << 20;
 
 // ---------------------------------------------------------------------
 // Executors
@@ -563,21 +578,141 @@ pub fn decode_response(payload: &[u8]) -> Result<WireResponse, String> {
 // The socket front end
 // ---------------------------------------------------------------------
 
-/// Per-IO-thread completion mailbox: `on_complete` hooks (fired from
-/// serving-worker threads) post `(connection, slot)` here and wake the
-/// owning IO thread out of its park.
-struct IoSignal {
-    completed: Mutex<Vec<(u64, u64)>>,
-    cv: Condvar,
+/// The `poll(2)` binding the IO threads wait in. `struct pollfd` and
+/// the event bits below have the same layout and values on Linux,
+/// Android, macOS and the BSDs; `nfds_t` differs in width.
+#[cfg(unix)]
+mod sys {
+    use std::ffi::{c_int, c_short};
+    use std::io;
+
+    /// `nfds_t` is an `unsigned int` on Android, Apple targets and the
+    /// BSDs…
+    #[cfg(any(
+        target_os = "android",
+        target_vendor = "apple",
+        target_os = "dragonfly",
+        target_os = "freebsd",
+        target_os = "netbsd",
+        target_os = "openbsd",
+    ))]
+    type NfdsT = std::ffi::c_uint;
+    /// …and an `unsigned long` on Linux and the other unixes.
+    #[cfg(not(any(
+        target_os = "android",
+        target_vendor = "apple",
+        target_os = "dragonfly",
+        target_os = "freebsd",
+        target_os = "netbsd",
+        target_os = "openbsd",
+    )))]
+    type NfdsT = std::ffi::c_ulong;
+
+    /// Data, or the end of the stream, to read.
+    pub(super) const POLLIN: c_short = 0x1;
+    /// Room to write.
+    pub(super) const POLLOUT: c_short = 0x4;
+
+    /// `struct pollfd`: one descriptor, the events waited for, and the
+    /// events `poll` reports (errors and hang-ups are reported whatever
+    /// `events` asks for).
+    #[repr(C)]
+    pub(super) struct PollFd {
+        fd: c_int,
+        events: c_short,
+        pub(super) revents: c_short,
+    }
+
+    impl PollFd {
+        pub(super) fn new(fd: c_int, events: c_short) -> Self {
+            PollFd {
+                fd,
+                events,
+                revents: 0,
+            }
+        }
+    }
+
+    /// Blocks, with no timeout, until at least one of `fds` is ready,
+    /// and sets every entry's `revents`. An interrupting signal is
+    /// retried.
+    #[allow(unsafe_code)]
+    pub(super) fn wait(fds: &mut [PollFd]) -> io::Result<()> {
+        unsafe extern "C" {
+            fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
+        }
+        loop {
+            // SAFETY: `fds` is an exclusively borrowed slice of
+            // `#[repr(C)]` `struct pollfd`s that outlives the call, and
+            // `poll` reads and writes only its first `nfds = fds.len()`
+            // entries. A timeout of -1 blocks until one is ready.
+            if unsafe { poll(fds.as_mut_ptr(), fds.len() as NfdsT, -1) } >= 0 {
+                return Ok(());
+            }
+            let err = io::Error::last_os_error();
+            if err.kind() != io::ErrorKind::Interrupted {
+                return Err(err);
+            }
+        }
+    }
 }
 
+/// Per-IO-thread wake-up: `on_complete` hooks (fired from
+/// serving-worker threads) post `(connection, slot)` to the mailbox, and
+/// the first post since the IO thread last woke writes one byte to the
+/// wake pipe its `poll` waits on.
+#[cfg(unix)]
+struct IoSignal {
+    completed: Mutex<Vec<(u64, u64)>>,
+    /// Set from the write of a wake byte until the IO thread has read
+    /// it back, so at most one byte is ever pending and a write never
+    /// blocks.
+    woken: AtomicBool,
+    wake_rx: PipeReader,
+    wake_tx: PipeWriter,
+}
+
+#[cfg(unix)]
 impl IoSignal {
+    fn new() -> io::Result<Self> {
+        let (wake_rx, wake_tx) = io::pipe()?;
+        Ok(IoSignal {
+            completed: Mutex::new(Vec::new()),
+            woken: AtomicBool::new(false),
+            wake_rx,
+            wake_tx,
+        })
+    }
+
     fn post(&self, conn: u64, slot: u64) {
         self.completed
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push((conn, slot));
-        self.cv.notify_one();
+        self.wake();
+    }
+
+    /// Ends the IO thread's wait, unless a wake byte is already pending.
+    fn wake(&self) {
+        if !self.woken.swap(true, Ordering::SeqCst) {
+            // The reader lives as long as this writer and never holds
+            // more than this byte, so a failed write is a broken pipe
+            // invariant; the IO thread would never see the wake, so
+            // fail loudly instead.
+            (&self.wake_tx)
+                .write_all(&[1])
+                .expect("gateway wake pipe takes its one pending byte");
+        }
+    }
+
+    /// Reads back the pending wake byte (the wait reported the pipe
+    /// readable) and re-arms [`IoSignal::wake`]. Called before
+    /// [`IoSignal::drain`], so a completion posted after the drain
+    /// writes a fresh byte and ends the next wait.
+    fn rearm(&self) -> io::Result<()> {
+        (&self.wake_rx).read_exact(&mut [0u8; 1])?;
+        self.woken.store(false, Ordering::SeqCst);
+        Ok(())
     }
 
     fn drain(&self) -> Vec<(u64, u64)> {
@@ -588,23 +723,10 @@ impl IoSignal {
                 .unwrap_or_else(PoisonError::into_inner),
         )
     }
-
-    /// Parks up to [`POLL_INTERVAL`] unless a completion arrives first.
-    fn park(&self) {
-        let completed = self
-            .completed
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if completed.is_empty() {
-            let _ = self
-                .cv
-                .wait_timeout(completed, POLL_INTERVAL)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
 }
 
 /// State shared by every IO thread.
+#[cfg(unix)]
 struct GatewayShared {
     listener: TcpListener,
     stop: AtomicBool,
@@ -613,6 +735,7 @@ struct GatewayShared {
 
 /// One client connection, owned by exactly one IO thread (no
 /// cross-thread socket sharing, no per-connection locks).
+#[cfg(unix)]
 struct Conn {
     stream: TcpStream,
     /// Unparsed request bytes.
@@ -628,6 +751,53 @@ struct Conn {
     closing: bool,
     /// Unrecoverable (write failure / protocol violation): drop now.
     dead: bool,
+}
+
+#[cfg(unix)]
+impl Conn {
+    fn new(stream: TcpStream) -> Self {
+        Conn {
+            stream,
+            rbuf: Vec::new(),
+            wbuf: Vec::new(),
+            wpos: 0,
+            in_flight: HashMap::new(),
+            next_slot: 0,
+            closing: false,
+            dead: false,
+        }
+    }
+
+    /// Response bytes queued and not yet written.
+    fn backlog(&self) -> usize {
+        self.wbuf.len() - self.wpos
+    }
+
+    /// Whether to read more requests: not once the peer is gone, and not
+    /// while the backlog is at [`WRITE_HIGH_WATER`].
+    fn reading(&self) -> bool {
+        !(self.closing || self.dead) && self.backlog() < WRITE_HIGH_WATER
+    }
+
+    /// The events this connection waits for. A connection with none
+    /// stays out of the wait: `poll` reports a hang-up whatever was
+    /// asked, so a half-closed connection still in flight would
+    /// otherwise end every wait at once.
+    fn interest(&self) -> std::ffi::c_short {
+        let mut events = 0;
+        if self.reading() {
+            events |= sys::POLLIN;
+        }
+        if self.backlog() > 0 {
+            events |= sys::POLLOUT;
+        }
+        events
+    }
+
+    /// Dead, or closing with every response flushed.
+    fn finished(&self) -> bool {
+        self.dead || self.closing && self.in_flight.is_empty() && self.backlog() == 0
+    }
 }
 
 /// A TCP front end for a [`RaellaServer`]: accepts connections, decodes
@@ -670,6 +840,7 @@ struct Conn {
 /// # Ok(())
 /// # }
 /// ```
+#[cfg(unix)]
 pub struct Gateway {
     server: Arc<RaellaServer>,
     shared: Arc<GatewayShared>,
@@ -678,11 +849,13 @@ pub struct Gateway {
 }
 
 /// Configures a [`Gateway`] before binding.
+#[cfg(unix)]
 pub struct GatewayBuilder {
     server: Arc<RaellaServer>,
     io_threads: usize,
 }
 
+#[cfg(unix)]
 impl GatewayBuilder {
     /// IO thread pool size (default 2, clamped to ≥ 1). Every accepted
     /// connection is pinned to one of these threads; the pool never
@@ -697,19 +870,14 @@ impl GatewayBuilder {
     ///
     /// # Errors
     ///
-    /// Propagates socket errors (bind, nonblocking setup).
+    /// Propagates socket errors (bind, nonblocking setup, wake pipes).
     pub fn bind(self, addr: impl ToSocketAddrs) -> io::Result<Gateway> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let signals: Vec<Arc<IoSignal>> = (0..self.io_threads)
-            .map(|_| {
-                Arc::new(IoSignal {
-                    completed: Mutex::new(Vec::new()),
-                    cv: Condvar::new(),
-                })
-            })
-            .collect();
+        let signals = (0..self.io_threads)
+            .map(|_| IoSignal::new().map(Arc::new))
+            .collect::<io::Result<Vec<_>>>()?;
         let shared = Arc::new(GatewayShared {
             listener,
             stop: AtomicBool::new(false),
@@ -731,6 +899,7 @@ impl GatewayBuilder {
     }
 }
 
+#[cfg(unix)]
 impl Gateway {
     /// Starts configuring a gateway over `server`.
     pub fn builder(server: Arc<RaellaServer>) -> GatewayBuilder {
@@ -757,7 +926,7 @@ impl Gateway {
     pub fn shutdown(&self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         for signal in &self.shared.signals {
-            signal.cv.notify_one();
+            signal.wake();
         }
         let mut threads = self.threads.lock().unwrap_or_else(PoisonError::into_inner);
         for handle in threads.drain(..) {
@@ -766,58 +935,85 @@ impl Gateway {
     }
 }
 
+#[cfg(unix)]
 impl Drop for Gateway {
     fn drop(&mut self) {
         self.shutdown();
     }
 }
 
-/// One IO thread: accept → drain completions → pump sockets → park.
-/// Every blocking point is the bounded [`IoSignal::park`]; sockets are
-/// nonblocking throughout, so thousands of idle connections cost one
-/// sweep each, not one thread each.
+/// One IO thread: wait → re-arm the wake → accept → drain completions
+/// → pump the ready connections → reap them once finished. The one
+/// blocking point is the `poll` in [`sys::wait`], with no timeout: a
+/// socket ends it by becoming ready, and a completion or
+/// [`Gateway::shutdown`] by a byte on the wake pipe. An idle thread
+/// sleeps until there is work, and a busy one pumps only the
+/// connections that have some.
+#[cfg(unix)]
 fn io_loop(server: &RaellaServer, shared: &GatewayShared, index: usize) {
     let signal = &shared.signals[index];
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_conn: u64 = 0;
     let mut tmp = [0u8; 16 * 1024];
+    // The wait set is the wake pipe, the listener, then one entry per
+    // connection with interest, whose ids `waiting` holds in order.
+    let mut fds: Vec<sys::PollFd> = Vec::new();
+    let mut waiting: Vec<u64> = Vec::new();
+    let mut ready: Vec<u64> = Vec::new();
     while !shared.stop.load(Ordering::SeqCst) {
-        let mut progress = false;
+        fds.clear();
+        waiting.clear();
+        fds.push(sys::PollFd::new(signal.wake_rx.as_raw_fd(), sys::POLLIN));
+        fds.push(sys::PollFd::new(shared.listener.as_raw_fd(), sys::POLLIN));
+        for (&conn_id, conn) in &conns {
+            let events = conn.interest();
+            if events != 0 {
+                fds.push(sys::PollFd::new(conn.stream.as_raw_fd(), events));
+                waiting.push(conn_id);
+            }
+        }
+        sys::wait(&mut fds).expect("poll(2) over live descriptors succeeds");
+        if fds[0].revents != 0 {
+            signal
+                .rearm()
+                .expect("gateway wake pipe holds the byte poll reported");
+        }
+        ready.clear();
+        ready.extend(
+            fds[2..]
+                .iter()
+                .zip(&waiting)
+                .filter(|(fd, _)| fd.revents != 0)
+                .map(|(_, &conn_id)| conn_id),
+        );
 
         // Accept: the listener is shared — whichever thread wins the
         // race owns the connection for its whole life.
-        loop {
-            match shared.listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
+        if fds[1].revents != 0 {
+            loop {
+                match shared.listener.accept() {
+                    Ok((stream, _)) => {
+                        // A socket that cannot be made nonblocking and
+                        // unbuffered is closed, not served.
+                        if stream.set_nonblocking(true).is_err()
+                            || stream.set_nodelay(true).is_err()
+                        {
+                            continue;
+                        }
+                        conns.insert(next_conn, Conn::new(stream));
+                        ready.push(next_conn);
+                        next_conn += 1;
                     }
-                    let _ = stream.set_nodelay(true);
-                    conns.insert(
-                        next_conn,
-                        Conn {
-                            stream,
-                            rbuf: Vec::new(),
-                            wbuf: Vec::new(),
-                            wpos: 0,
-                            in_flight: HashMap::new(),
-                            next_slot: 0,
-                            closing: false,
-                            dead: false,
-                        },
-                    );
-                    next_conn += 1;
-                    progress = true;
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    // WouldBlock: another thread won, or none is left.
+                    Err(_) => break,
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
             }
         }
 
         // Completions: fetch each finished request's result and queue
         // its response frame on the owning connection.
         for (conn_id, slot) in signal.drain() {
-            progress = true;
             // The connection may have died first — the result is simply
             // discarded (the cell was already consumed or drops with
             // the handle).
@@ -834,49 +1030,46 @@ fn io_loop(server: &RaellaServer, shared: &GatewayShared, index: usize) {
                 // stored — but degrade to an error frame, not a panic.
                 None => encode_err(&mut conn.wbuf, tag, "response unavailable"),
             }
+            ready.push(conn_id);
         }
 
-        // Pump every socket: read + parse + submit, then flush writes.
-        for (&conn_id, conn) in conns.iter_mut() {
-            progress |= pump_reads(server, signal, conn_id, conn, &mut tmp);
-            progress |= pump_writes(conn);
-        }
-
-        // Reap: dead now; closing once drained (responses flushed, no
-        // in-flight left).
-        conns.retain(|_, c| {
-            !(c.dead || c.closing && c.in_flight.is_empty() && c.wpos == c.wbuf.len())
-        });
-
-        if !progress {
-            signal.park();
+        // Pump each ready connection once: read + parse + submit, then
+        // flush writes; reap it if that finished it.
+        ready.sort_unstable();
+        ready.dedup();
+        for &conn_id in &ready {
+            let Some(conn) = conns.get_mut(&conn_id) else {
+                continue;
+            };
+            pump_reads(server, signal, conn_id, conn, &mut tmp);
+            pump_writes(conn);
+            if conn.finished() {
+                conns.remove(&conn_id);
+            }
         }
     }
 }
 
 /// Reads whatever the socket has, parses complete frames, and submits
-/// them. Returns whether any byte moved.
+/// them — unless the connection is not [`Conn::reading`].
+#[cfg(unix)]
 fn pump_reads(
     server: &RaellaServer,
     signal: &Arc<IoSignal>,
     conn_id: u64,
     conn: &mut Conn,
     tmp: &mut [u8],
-) -> bool {
-    if conn.closing || conn.dead {
-        return false;
+) {
+    if !conn.reading() {
+        return;
     }
-    let mut progress = false;
     loop {
         match conn.stream.read(tmp) {
             Ok(0) => {
                 conn.closing = true;
                 break;
             }
-            Ok(n) => {
-                conn.rbuf.extend_from_slice(&tmp[..n]);
-                progress = true;
-            }
+            Ok(n) => conn.rbuf.extend_from_slice(&tmp[..n]),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
@@ -938,29 +1131,22 @@ fn pump_reads(
             }
         }
     }
-    if consumed > 0 {
-        conn.rbuf.drain(..consumed);
-        progress = true;
-    }
-    progress
+    conn.rbuf.drain(..consumed);
 }
 
-/// Flushes pending response bytes. Returns whether any byte moved.
-fn pump_writes(conn: &mut Conn) -> bool {
+/// Flushes pending response bytes.
+#[cfg(unix)]
+fn pump_writes(conn: &mut Conn) {
     if conn.dead {
-        return false;
+        return;
     }
-    let mut progress = false;
     while conn.wpos < conn.wbuf.len() {
         match conn.stream.write(&conn.wbuf[conn.wpos..]) {
             Ok(0) => {
                 conn.dead = true;
                 break;
             }
-            Ok(n) => {
-                conn.wpos += n;
-                progress = true;
-            }
+            Ok(n) => conn.wpos += n,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
@@ -976,7 +1162,6 @@ fn pump_writes(conn: &mut Conn) -> bool {
         conn.wbuf.drain(..conn.wpos);
         conn.wpos = 0;
     }
-    progress
 }
 
 /// A minimal blocking client for the gateway protocol — one frame out,
@@ -990,14 +1175,14 @@ pub struct GatewayClient {
 }
 
 impl GatewayClient {
-    /// Connects (blocking socket).
+    /// Connects (blocking socket, Nagle off).
     ///
     /// # Errors
     ///
-    /// Propagates connection errors.
+    /// Propagates connection and socket-option errors.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
-        let _ = stream.set_nodelay(true);
+        stream.set_nodelay(true)?;
         Ok(GatewayClient {
             stream,
             rbuf: Vec::new(),
@@ -1195,6 +1380,7 @@ mod tests {
         setter.join().unwrap();
     }
 
+    #[cfg(unix)]
     #[test]
     fn gateway_serves_round_trips_and_error_frames() {
         let server = tiny_server();
@@ -1248,6 +1434,7 @@ mod tests {
         server.shutdown();
     }
 
+    #[cfg(unix)]
     #[test]
     fn oversized_frame_answers_an_error_before_closing() {
         let server = tiny_server();

@@ -42,7 +42,8 @@
 //!   [`gateway::block_on`]/[`gateway::LocalPool`] pair ships in-tree),
 //!   and [`gateway::Gateway`] serves a length-prefixed TCP protocol,
 //!   multiplexing 10k+ in-flight requests from a small fixed pool of
-//!   IO threads via waker-based completion delivery.
+//!   IO threads that wait in `poll(2)` (unix only) and are woken by
+//!   socket readiness and by request completions.
 //! * [`shard`] — tile-sharded execution: a [`shard::ShardPlan`] places
 //!   layers (and row-group splits of long layers) across simulated
 //!   accelerator tiles and runs a model under that placement
@@ -106,7 +107,9 @@ pub use config::{RaellaConfig, WeightEncoding};
 pub use energy::{EnergyProfile, LayerEnergy};
 pub use engine::RunStats;
 pub use error::CoreError;
-pub use gateway::{block_on, Gateway, GatewayClient, LocalPool};
+#[cfg(unix)]
+pub use gateway::Gateway;
+pub use gateway::{block_on, GatewayClient, LocalPool};
 pub use model::{BatchResult, CompiledModel};
 pub use policy::{
     LayerBreach, RecalContext, RecalTrigger, RecalibrationAction, RecalibrationPolicy,

@@ -8,14 +8,24 @@
 //! topology was impossible; with notification cells the in-flight cost
 //! is memory, not threads. Every response must stay bit-identical to
 //! submission-order `run_batch`.
+//!
+//! The socket front end is unix-only, and so is this suite.
+
+#![cfg(unix)]
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use raella_core::compiler::SharedCompileCache;
-use raella_core::gateway::{Gateway, GatewayClient, LocalPool};
+use raella_core::gateway::{
+    decode_response, encode_request, next_frame, Gateway, GatewayClient, LocalPool,
+    WRITE_HIGH_WATER,
+};
 use raella_core::server::{Admission, RaellaServer};
 use raella_core::RaellaConfig;
 use raella_nn::graph::Graph;
@@ -188,5 +198,232 @@ fn gateway_round_trips_pipelined_connections_bit_identically() {
     assert_eq!(metrics.rejected(), 0, "unbounded queue never rejects");
 
     gateway.shutdown();
+    server.shutdown();
+}
+
+/// A model whose output is its input image (a 1×1 max pool): every
+/// response carries the whole image back, so a few hundred requests fill
+/// the socket buffers with no compute to wait on.
+fn echo_graph() -> Graph {
+    let mut g = Graph::new();
+    let input = g.input();
+    let echo = g.max_pool(input, 1, 1);
+    g.set_output(echo);
+    g
+}
+
+/// 64 KiB images for [`echo_graph`].
+fn echo_image(seed: u8) -> Tensor<u8> {
+    let data = (0..16 * 64 * 64)
+        .map(|i: usize| (i as u8).wrapping_mul(seed | 1).wrapping_add(seed))
+        .collect();
+    Tensor::from_vec(data, &[16, 64, 64]).expect("consistent image")
+}
+
+/// Request frames queued on a nonblocking connection, tagged in order.
+struct RoundSender {
+    stream: TcpStream,
+    wbuf: Vec<u8>,
+    wpos: usize,
+    /// Requests queued so far (the next tag).
+    encoded: usize,
+}
+
+impl RoundSender {
+    /// Queues one request per tag, cycling through `images`.
+    fn queue(&mut self, tags: std::ops::Range<usize>, images: &[Tensor<u8>]) {
+        if self.flushed() {
+            self.wbuf.clear();
+            self.wpos = 0;
+        }
+        for tag in tags {
+            encode_request(&mut self.wbuf, tag as u64, 0, &images[tag % images.len()]);
+            self.encoded += 1;
+        }
+    }
+
+    fn flushed(&self) -> bool {
+        self.wpos == self.wbuf.len()
+    }
+
+    /// Writes what the socket takes now.
+    fn flush(&mut self) {
+        while !self.flushed() {
+            match self.stream.write(&self.wbuf[self.wpos..]) {
+                Ok(n) => self.wpos += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) => panic!("request write failed: {e}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn a_client_that_never_reads_stops_being_read_at_the_write_high_water_mark() {
+    const SENT: usize = 400;
+    const ROUND: usize = 16;
+    const IMAGES: usize = 3;
+    /// How long admissions must stand still to count as a plateau.
+    const STILL: Duration = Duration::from_secs(1);
+    const DEADLINE: Duration = Duration::from_secs(120);
+
+    let server = Arc::new(
+        RaellaServer::builder()
+            .model(&echo_graph(), &tiny_cfg())
+            .compile_cache(SharedCompileCache::new())
+            .workers(1)
+            .latency_budget_ticks(0)
+            .build()
+            .expect("echo server builds"),
+    );
+    let gateway = Gateway::builder(Arc::clone(&server))
+        .io_threads(1)
+        .bind("127.0.0.1:0")
+        .expect("gateway binds");
+    let images: Vec<Tensor<u8>> = (0..IMAGES as u8).map(echo_image).collect();
+    let expect = server.model(0).run_batch(&images).expect("baseline runs");
+    let expect = expect.outputs();
+    let response_bytes = expect[0].as_slice().len();
+    assert!(
+        SENT * response_bytes > 16 * WRITE_HIGH_WATER,
+        "the responses must dwarf the high-water mark"
+    );
+
+    let stream = TcpStream::connect(gateway.local_addr()).expect("connects");
+    stream.set_nonblocking(true).expect("nonblocking client");
+    let mut sender = RoundSender {
+        stream,
+        wbuf: Vec::new(),
+        wpos: 0,
+        encoded: 0,
+    };
+    let next_round = |sender: &mut RoundSender| {
+        let tags = sender.encoded..(sender.encoded + ROUND).min(SENT);
+        sender.queue(tags, &images);
+    };
+
+    // Send a round at a time, each once the last is admitted and
+    // served, and read nothing: the responses back up until the gateway
+    // stops reading, and then admissions stand still.
+    let start = Instant::now();
+    let mut seen = (u64::MAX, u64::MAX);
+    let mut still_since = Instant::now();
+    let plateau = loop {
+        assert!(start.elapsed() < DEADLINE, "no plateau within {DEADLINE:?}");
+        let metrics = server.metrics();
+        let now = (metrics.accepted(), metrics.served()[0]);
+        if now != seen {
+            seen = now;
+            still_since = Instant::now();
+        } else if still_since.elapsed() >= STILL {
+            break now.0 as usize;
+        }
+        let encoded = sender.encoded as u64;
+        if sender.flushed() && now == (encoded, encoded) {
+            if sender.encoded == SENT {
+                break SENT;
+            }
+            next_round(&mut sender);
+        }
+        sender.flush();
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert!(
+        plateau < SENT,
+        "admissions must stall below the {SENT} requests sent, not reach {plateau}"
+    );
+
+    // Now read: every response arrives, bit-identical, and the stalled
+    // and remaining requests go through.
+    let mut rbuf = Vec::new();
+    let mut chunk = vec![0u8; 256 * 1024];
+    let mut answered = vec![false; SENT];
+    let mut count = 0;
+    while count < SENT {
+        assert!(
+            start.elapsed() < DEADLINE,
+            "{count} of {SENT} answered within {DEADLINE:?}"
+        );
+        if sender.flushed() && sender.encoded < SENT {
+            next_round(&mut sender);
+        }
+        sender.flush();
+        match sender.stream.read(&mut chunk) {
+            Ok(0) => panic!("gateway closed the connection"),
+            Ok(n) => rbuf.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Err(e) => panic!("response read failed: {e}"),
+        }
+        let mut used = 0;
+        while let Some((len, payload)) = next_frame(&rbuf[used..]).expect("well-formed frame") {
+            let resp = decode_response(&rbuf[used..][payload]).expect("decodable response");
+            let tag = resp.tag as usize;
+            let ok = resp
+                .result
+                .unwrap_or_else(|e| panic!("tag {tag} refused: {e}"));
+            assert!(
+                !std::mem::replace(&mut answered[tag], true),
+                "tag {tag} twice"
+            );
+            assert_eq!(
+                ok.output.as_slice(),
+                expect[tag % IMAGES].as_slice(),
+                "tag {tag} bytes over the wire"
+            );
+            count += 1;
+            used += len;
+        }
+        rbuf.drain(..used);
+    }
+    assert_eq!(server.metrics().accepted() as usize, SENT);
+
+    gateway.shutdown();
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_wakes_io_threads_waiting_on_idle_connections() {
+    /// Generous for a debug build on a loaded host: the IO threads' wait
+    /// has no timeout, so only the wake pipe can end it.
+    const BOUND: Duration = Duration::from_secs(10);
+
+    let server = Arc::new(
+        RaellaServer::builder()
+            .model(&tiny_graph(), &tiny_cfg())
+            .compile_cache(SharedCompileCache::new())
+            .workers(1)
+            .latency_budget_ticks(0)
+            .build()
+            .expect("tiny server builds"),
+    );
+    let gateway = Gateway::builder(Arc::clone(&server))
+        .io_threads(2)
+        .bind("127.0.0.1:0")
+        .expect("gateway binds");
+    let mut clients: Vec<GatewayClient> = (0..4)
+        .map(|_| GatewayClient::connect(gateway.local_addr()).expect("client connects"))
+        .collect();
+    // One round trip per connection: each is accepted and owned by an
+    // IO thread before the traffic stops.
+    for (tag, client) in clients.iter_mut().enumerate() {
+        client.send(tag as u64, 0, &tiny_image(1)).expect("sends");
+        client.recv().expect("answered").result.expect("served");
+    }
+    std::thread::sleep(Duration::from_millis(50));
+
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        gateway.shutdown();
+        done_tx.send(()).expect("test waits for the shutdown");
+    });
+    done_rx
+        .recv_timeout(BOUND)
+        .unwrap_or_else(|e| panic!("Gateway::shutdown did not return within {BOUND:?}: {e}"));
+    for client in &mut clients {
+        let err = client.recv().expect_err("connection dropped at shutdown");
+        assert_eq!(err.kind(), ErrorKind::UnexpectedEof, "{err}");
+    }
     server.shutdown();
 }

@@ -97,10 +97,12 @@ pub use raella_xbar as xbar;
 /// behind their full paths.
 pub mod prelude {
     pub use raella_arch::tile::TileSpec;
+    #[cfg(unix)]
+    pub use raella_core::Gateway;
     pub use raella_core::{
         block_on, energy_config_ladder, Admission, BatchResult, CompiledLayer, CompiledModel,
         ComponentPrices, CoreError, DeviceLifetime, EnergyBreakdown, EnergyMeter, EnergyProfile,
-        FidelityReport, Gateway, GatewayClient, LayerBreach, LayerEnergy, LocalPool, MeterEvents,
+        FidelityReport, GatewayClient, LayerBreach, LayerEnergy, LocalPool, MeterEvents,
         MeterGeometry, RaellaConfig, RaellaServer, RecalContext, RecalTrigger, RecalibrationAction,
         RecalibrationPolicy, RequestHandle, Response, RotatePolicy, RunStats, ServerBuilder,
         ServerMetrics, ShardPlan, SharedCompileCache, VectorScratch, WearAwarePolicy,

@@ -16,6 +16,9 @@
 //!   server (three batch budgets) ≥ 2×, sharding (2 and 4 tiles against
 //!   one) ≥ 1.01×. Fewer cores oversubscribe the worker count, so the
 //!   floors cannot be reached there.
+//! * **Fan-out ceiling** (any core count): what a lone server worker's
+//!   vector fan-out adds to the one-vector tiny model, as the ratio of
+//!   median call times with and without it, `RAELLA_THREADS` unset.
 //! * **Gateway ceiling** (any core count, unix): median wall-clock
 //!   round trip of one tiny request through [`GatewayClient`] → one IO
 //!   thread → a one-worker server and back, sequential and closed-loop,
@@ -65,11 +68,24 @@ const SINGLE_THREAD_ROUNDS: usize = 3;
 /// shared 2-vCPU x86-64 host, where IO threads waiting in `poll(2)`
 /// measured medians of 33–89 µs (median of the 25: 68.3 µs). IO threads
 /// that parked up to 500 µs between sweeps read 645–753 µs in 25 runs
-/// interleaved with those, so the ceiling fails on them.
-const GATEWAY_CEILING: Duration = Duration::from_micros(205);
+/// interleaved with those, so the ceiling fails on them. With the core
+/// count looked up once per process, 25 runs read 49.6–73.5 µs (median
+/// 67.4 µs, 3× = 202 µs), against 80.6–117.4 µs (median 103.7 µs) for
+/// a lookup on every layer call, interleaved.
+const GATEWAY_CEILING: Duration = Duration::from_micros(202);
 /// Untimed and timed sequential round trips for the gateway ceiling.
 const GATEWAY_WARMUP: usize = 50;
 const GATEWAY_ROUND_TRIPS: usize = 500;
+/// Lone-worker fan-out ceiling on the tiny model: fanned ÷ serial
+/// median call time. On a shared 2-vCPU x86-64 host, 25 gate runs read
+/// x1.00–x1.03 (median x1.01, serial medians 1.3–2.7 µs); looking up
+/// the core count on every layer call read x11.4–x13.2 in 25 runs
+/// interleaved with those (28.9–29.9 µs fanned, interquartile), so the
+/// ceiling fails on it.
+const FAN_OUT_CEILING: f64 = 1.5;
+/// Untimed and timed calls of each mode for the fan-out ceiling.
+const FAN_OUT_WARMUP: usize = 200;
+const FAN_OUT_CALLS: usize = 2_000;
 /// Cores below which the speedup floors are printed but not enforced.
 const SPEEDUP_CORES: usize = 4;
 /// Ceiling on each total recalibration pause.
@@ -96,10 +112,16 @@ fn best_secs(reps: usize, mut work: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// Median of `times` (seconds), sorting them in place.
+fn median(times: &mut [f64]) -> Duration {
+    times.sort_by(f64::total_cmp);
+    Duration::from_secs_f64(times[times.len() / 2])
+}
+
 /// Prints a speedup against its floor; asserts it on runners with at
 /// least [`SPEEDUP_CORES`] cores.
 fn speedup_floor(name: &str, speedup: f64, floor: f64) {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = raella_core::parallel::cores();
     let enforced = cores >= SPEEDUP_CORES;
     println!(
         "{name}: worst speedup x{speedup:.2} (floor x{floor:.2}, {cores} cores{})",
@@ -134,10 +156,8 @@ fn single_thread_ceiling(model: &CompiledModel, images: &[Tensor<u8>]) {
         .flat_map(|_| images)
         .map(|image| secs(|| run(image)))
         .collect();
-    times.sort_by(f64::total_cmp);
     let name = format!("single-thread mini_resnet18, median of {}", times.len());
-    let median = Duration::from_secs_f64(times[times.len() / 2]);
-    ceiling(&name, median, SINGLE_THREAD_CEILING);
+    ceiling(&name, median(&mut times), SINGLE_THREAD_CEILING);
 }
 
 /// Vector fan-out inside one layer: fc512×32, 32 vectors, ideal and
@@ -281,13 +301,9 @@ fn shard_floor() {
     speedup_floor("shard 2/4 tiles", worst, 1.01);
 }
 
-/// Sequential round trips of a 2-input, 1-layer model through the
-/// gateway: one client, one IO thread, one worker, no batching wait.
-#[cfg(unix)]
-fn gateway_ceiling() {
-    use raella_core::{Gateway, GatewayClient};
-    use std::sync::Arc;
-
+/// The tiny served model, `gap → linear(2→3)`, its config and one
+/// 2-input image.
+fn tiny_model() -> (Graph, RaellaConfig, Tensor<u8>) {
     let mut graph = Graph::new();
     let input = graph.input();
     let gap = graph.global_avg_pool(input);
@@ -299,6 +315,57 @@ fn gateway_ceiling() {
         search_vectors: 2,
         ..RaellaConfig::default()
     };
+    let image = Tensor::from_vec(vec![9, 23], &[2, 1, 1]).expect("consistent image");
+    (graph, cfg, image)
+}
+
+/// What a lone server worker adds to the tiny model by enabling vector
+/// fan-out: the median of `run_image_in(.., true)` over the median of
+/// `run_image_in(.., false)`, interleaved call by call, with
+/// `RAELLA_THREADS` unset so the host's own core count decides.
+fn fan_out_ceiling() {
+    let (graph, cfg, image) = tiny_model();
+    let model = CompiledModel::compile(&graph, &cfg).expect("tiny model compiles");
+    let mut arena = ValueArena::new();
+    let mut run = |parallel: bool| {
+        secs(|| {
+            black_box(
+                model
+                    .run_image_in(&image, &mut arena, parallel)
+                    .expect("runs"),
+            );
+        })
+    };
+    let ambient = std::env::var("RAELLA_THREADS").ok();
+    std::env::remove_var("RAELLA_THREADS");
+    (0..FAN_OUT_WARMUP).for_each(|i| {
+        run(i % 2 == 0);
+    });
+    let (mut fanned, mut serial): (Vec<f64>, Vec<f64>) =
+        (0..FAN_OUT_CALLS).map(|_| (run(true), run(false))).unzip();
+    if let Some(v) = ambient {
+        std::env::set_var("RAELLA_THREADS", v);
+    }
+    let (fanned, serial) = (median(&mut fanned), median(&mut serial));
+    let ratio = fanned.as_secs_f64() / serial.as_secs_f64();
+    println!(
+        "lone-worker fan-out, tiny model, median of {FAN_OUT_CALLS}: \
+         {fanned:.2?} against {serial:.2?} serial, x{ratio:.2} (ceiling x{FAN_OUT_CEILING:.2})"
+    );
+    assert!(
+        ratio <= FAN_OUT_CEILING,
+        "lone-worker fan-out overhead regressed: x{ratio:.2} > x{FAN_OUT_CEILING:.2}"
+    );
+}
+
+/// Sequential round trips of a 2-input, 1-layer model through the
+/// gateway: one client, one IO thread, one worker, no batching wait.
+#[cfg(unix)]
+fn gateway_ceiling() {
+    use raella_core::{Gateway, GatewayClient};
+    use std::sync::Arc;
+
+    let (graph, cfg, image) = tiny_model();
     let server = Arc::new(
         RaellaServer::builder()
             .model(&graph, &cfg)
@@ -312,7 +379,6 @@ fn gateway_ceiling() {
         .bind("127.0.0.1:0")
         .expect("gateway binds");
     let mut client = GatewayClient::connect(gateway.local_addr()).expect("client connects");
-    let image = Tensor::from_vec(vec![9, 23], &[2, 1, 1]).expect("consistent image");
     let mut round_trip = |tag: usize| {
         client.send(tag as u64, 0, &image).expect("request sends");
         let resp = client.recv().expect("response arrives");
@@ -324,10 +390,8 @@ fn gateway_ceiling() {
         .collect();
     gateway.shutdown();
     server.shutdown();
-    times.sort_by(f64::total_cmp);
     let name = format!("gateway round trip, median of {}", times.len());
-    let median = Duration::from_secs_f64(times[times.len() / 2]);
-    ceiling(&name, median, GATEWAY_CEILING);
+    ceiling(&name, median(&mut times), GATEWAY_CEILING);
 }
 
 /// Total recalibration pause the server itself metered.
@@ -430,6 +494,7 @@ fn main() {
     graph_floor(&model, &images[..8]);
     serve_floor(&mini.graph, &cfg, &cache, &images);
     shard_floor();
+    fan_out_ceiling();
     #[cfg(unix)]
     gateway_ceiling();
     pause_ceiling();

@@ -10,7 +10,8 @@
 //! slice-count order and the search stops at the first count with a
 //! feasible slicing — the same result as scanning all 108, in a fraction
 //! of the time. Candidates within a count are evaluated in parallel
-//! (std scoped threads), standing in for the paper's GPU
+//! ([`crate::parallel::run_chunks`]; `RAELLA_THREADS` pins the worker
+//! count), standing in for the paper's GPU
 //! preprocessing (10–1000 ms/layer).
 //!
 //! The simulation honours the configured noise model, which is what makes
@@ -27,6 +28,7 @@ use crate::compiler::CompiledLayer;
 use crate::config::RaellaConfig;
 use crate::engine::{run_batch_at_age, RunStats};
 use crate::error::CoreError;
+use crate::parallel::{run_chunks, worker_count_for};
 
 /// Outcome of the slicing search.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -120,7 +122,7 @@ fn evaluate_one(
     mean_error_nonzero(expected, &outputs)
 }
 
-/// Evaluates a group of candidates, in parallel when it pays.
+/// Evaluates a group of candidates, one block of them per worker.
 fn evaluate_group(
     layer: &MatrixLayer,
     group: &[Slicing],
@@ -128,25 +130,13 @@ fn evaluate_group(
     inputs: &[raella_nn::matrix::Act],
     expected: &[u8],
 ) -> Vec<f64> {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if group.len() < 2 || threads < 2 {
-        return group
+    run_chunks(group.len(), worker_count_for(group.len(), 1), |first, n| {
+        group[first..first + n]
             .iter()
             .map(|s| evaluate_one(layer, s, search_cfg, inputs, expected))
-            .collect();
-    }
-    let mut errors = vec![0.0f64; group.len()];
-    let chunk = group.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (gchunk, echunk) in group.chunks(chunk).zip(errors.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (s, e) in gchunk.iter().zip(echunk.iter_mut()) {
-                    *e = evaluate_one(layer, s, search_cfg, inputs, expected);
-                }
-            });
-        }
-    });
-    errors
+            .collect::<Vec<_>>()
+    })
+    .concat()
 }
 
 #[cfg(test)]

@@ -870,26 +870,17 @@ fn run_layer_placed(
             })
             .collect::<Vec<SliceResult>>()
     };
-    let results: Vec<Vec<SliceResult>> = if parallel && by_tile.len() > 1 {
-        std::thread::scope(|scope| {
-            let run_tile = &run_tile;
-            let handles: Vec<_> = by_tile
-                .iter()
-                .map(|(_, ranges)| scope.spawn(move || run_tile(ranges)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("tile worker panicked"))
-                .collect()
-        })
-    } else {
-        by_tile.iter().map(|(_, ranges)| run_tile(ranges)).collect()
-    };
+    // With `parallel`, every tile is a block of its own.
+    let threads = if parallel { by_tile.len() } else { 1 };
+    let results = run_chunks(by_tile.len(), threads, |first, n| {
+        let tiles = &by_tile[first..first + n];
+        tiles.iter().map(|(_, r)| run_tile(r)).collect::<Vec<_>>()
+    });
 
     // Inter-tile accumulator reduction: exact elementwise i64 addition,
     // so any merge order gives the same sums.
     let mut total = vec![0i64; n_vectors * filters];
-    for ((tile, _), slices) in by_tile.iter().zip(&results) {
+    for ((tile, _), slices) in by_tile.iter().zip(results.iter().flatten()) {
         for sr in slices {
             for (t, &p) in total.iter_mut().zip(&sr.acc) {
                 *t += p;

@@ -86,7 +86,7 @@ impl NoiseModel {
     /// crossbar, else a draw from `N(ideal, σ²)` rounded to an integer,
     /// with `σ = E·√charge` and `charge = N⁺ + N⁻`. An ideal model draws
     /// nothing from `rng`.
-    #[inline]
+    #[inline(always)]
     pub fn read(&self, ideal: i64, charge: i64, rng: &mut NoiseRng) -> i64 {
         if self.is_ideal() {
             return ideal;
@@ -116,7 +116,7 @@ fn splitmix64(x: u64) -> u64 {
 /// `(2s + 1)/2⁵³`: uniform over 2⁵³ points of the open interval (−1, 1),
 /// symmetric about 0 (`!bits` maps to the negation) and never 0. Every
 /// step is exact in `f64`.
-#[inline]
+#[inline(always)]
 fn symmetric_unit(bits: u64) -> f64 {
     (((bits as i64) >> 10) | 1) as f64 * (1.0 / (1u64 << 53) as f64)
 }
@@ -175,7 +175,7 @@ impl NoiseRng {
     }
 
     /// One standard normal variate: a 256-layer ziggurat (module docs).
-    #[inline]
+    #[inline(always)]
     pub fn standard_normal(&mut self) -> f64 {
         loop {
             let bits = self.inner.next_u64();

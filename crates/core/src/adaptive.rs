@@ -9,10 +9,11 @@
 //! Fewer slices always win, so candidates are evaluated in ascending
 //! slice-count order and the search stops at the first count with a
 //! feasible slicing — the same result as scanning all 108, in a fraction
-//! of the time. Candidates within a count are evaluated in parallel
-//! ([`crate::parallel::run_chunks`]; `RAELLA_THREADS` pins the worker
-//! count), standing in for the paper's GPU
-//! preprocessing (10–1000 ms/layer).
+//! of the time. Workers claim the candidates of a count one by one
+//! ([`crate::parallel::run_chunks`]). Against the paper's GPU
+//! preprocessing (10–1000 ms/layer), a mini_resnet18 layer's search takes
+//! 0.1 ms when its first candidate fits the budget and 1.3–5.7 ms for 13
+//! candidates, on a shared 2-vCPU x86-64 host.
 //!
 //! The simulation honours the configured noise model, which is what makes
 //! the search *noise-aware*: as noise rises, wider slices blow the budget
@@ -122,7 +123,7 @@ fn evaluate_one(
     mean_error_nonzero(expected, &outputs)
 }
 
-/// Evaluates a group of candidates, one block of them per worker.
+/// Evaluates a group of candidates, which the workers claim one by one.
 fn evaluate_group(
     layer: &MatrixLayer,
     group: &[Slicing],

@@ -16,7 +16,7 @@
 //! the fourth power penalizes strongly unbalanced columns; the `2^{lᵢ}`
 //! factor weights misbalance by the bit position it pollutes.
 
-use raella_xbar::slicing::{crop_signed, Slicing};
+use raella_xbar::slicing::{crop_signed, Slice, Slicing};
 
 /// Splits a stored-domain weight into `(w⁺, w⁻)` offsets around `center`.
 /// Exactly one of the two is nonzero (unless `w == center`).
@@ -54,69 +54,100 @@ pub fn offsets(w: u8, center: i32) -> (u8, u8) {
 /// Panics if `weights` is empty.
 pub fn center_cost(weights: &[u8], slicing: &Slicing, phi: i32) -> f64 {
     assert!(!weights.is_empty(), "empty weight filter");
-    let hist = histogram(weights);
-    cost_from_histogram(&hist, slicing, phi)
+    let mut occupied = Vec::new();
+    for (v, &count) in (0..).zip(&histogram(weights)) {
+        if count != 0 {
+            occupied.push((v - phi, i64::from(count)));
+        }
+    }
+    let mut cost = 0.0;
+    for slice in slicing.slices() {
+        let mut column_sum = 0i64;
+        for &(offset, count) in &occupied {
+            column_sum += count * i64::from(slice.crop(offset));
+        }
+        cost += f64::from(1u32 << slice.shift()) * (column_sum as f64).powi(4);
+    }
+    cost
 }
 
 /// Solves Eq. (2) for one filter: the center in `1..=255` minimizing the
-/// slice-balance cost (smallest φ wins ties, for determinism).
-///
-/// Runs on the weight histogram's occupied bins, so cost is independent of
-/// filter length — the "<1 ms per layer" regime Algorithm 1 quotes. Each
-/// slice's `crop(d)` is tabulated once for every offset `d ∈ −255..=255`,
-/// and column sums are exact integers under the same `f64` cost
-/// expression as [`center_cost`], so the argmin is bit-identical to a
-/// brute-force scan of it.
-///
-/// # Panics
-///
-/// Panics if `weights` is empty.
+/// slice-balance cost (smallest φ wins ties, for determinism). Shorthand
+/// for [`CenterSolver::new`]`(slicing).solve(weights)`, and panics as
+/// [`CenterSolver::solve`] does.
 pub fn optimal_center(weights: &[u8], slicing: &Slicing) -> i32 {
-    assert!(!weights.is_empty(), "empty weight filter");
-    let hist = histogram(weights);
-    let mut values = [0u8; 256];
-    let mut counts = [0i64; 256];
-    let mut occupied = 0;
-    for (v, &count) in (0..=255).zip(&hist) {
-        values[occupied] = v;
-        counts[occupied] = i64::from(count);
-        occupied += usize::from(count != 0);
-    }
-    let (values, counts) = (&values[..occupied], &counts[..occupied]);
-    // Offsets span −255..=255, so only slices below bit 8 can crop a
-    // nonzero value — at most eight of them. The others add an exact 0.0
-    // to the cost and are skipped.
-    let mut tables = [[0i16; 511]; 8];
-    let mut scales = [0.0f64; 8];
-    let mut live = 0;
-    for slice in slicing.slices().into_iter().filter(|s| s.l < 8) {
-        for (d, t) in (-255..=255).zip(tables[live].iter_mut()) {
-            *t = slice.crop(d) as i16;
-        }
-        scales[live] = f64::from(1u32 << slice.shift());
-        live += 1;
-    }
-    let mut best_phi = 1;
-    let mut best_cost = f64::INFINITY;
-    for phi in 1..=255 {
-        // `table[v + 255 − φ]` is `crop(v − φ)`.
-        let at = 255 - phi as usize;
-        let mut cost = 0.0;
-        for (table, &scale) in tables[..live].iter().zip(&scales) {
-            let table: &[i16; 256] = table[at..at + 256].try_into().expect("256 offsets");
-            let column_sum: i64 = values
+    CenterSolver::new(slicing).solve(weights)
+}
+
+/// Centers per solve, lane `r` holding φ = 255 − r; lane 255 (φ = 0)
+/// only rounds the pass up to whole vectors.
+const LANES: usize = 256;
+
+/// Eq. (2) for every filter under one slicing: each slice's `crop(d)` for
+/// every offset `d ∈ −255..=255`, and its `2^shift` scale, tabulated once.
+#[derive(Debug, Clone)]
+pub struct CenterSolver {
+    /// `tables[s][d + 255]` is live slice `s`'s `crop(d)`.
+    tables: Vec<[i16; 511]>,
+    /// `2^shift` per live slice.
+    scales: Vec<f64>,
+}
+
+impl CenterSolver {
+    /// Tabulates `slicing`'s slices. Offsets span −255..=255, so only
+    /// slices below bit 8 can crop a nonzero value; the others add an
+    /// exact 0.0 to every cost and are skipped.
+    pub fn new(slicing: &Slicing) -> Self {
+        let live: Vec<Slice> = slicing.slices().into_iter().filter(|s| s.l < 8).collect();
+        CenterSolver {
+            tables: live
                 .iter()
-                .zip(counts)
-                .map(|(&v, &count)| count * i64::from(table[usize::from(v)]))
-                .sum();
-            cost += scale * (column_sum as f64).powi(4);
-        }
-        if cost < best_cost {
-            best_cost = cost;
-            best_phi = phi;
+                .map(|s| std::array::from_fn(|i| s.crop(i as i32 - 255) as i16))
+                .collect(),
+            scales: live.iter().map(|s| f64::from(1u32 << s.shift())).collect(),
         }
     }
-    best_phi
+
+    /// The Eq. (2) center of `weights`. For each slice, every occupied
+    /// histogram bin `v` adds `count · crop(v − φ)` (`table[v + r]`,
+    /// `r = 255 − φ`) into one exact `i32` lane per center, all centers in
+    /// one contiguous pass; each center's cost is then the same `f64`
+    /// expression, summed in slice order, as [`center_cost`], so the
+    /// argmin is bit-identical to a brute-force scan of it. Runs on AVX2
+    /// when the CPU has it. Panics if `weights` is empty or longer than
+    /// 2^23, where `i32` lanes could overflow.
+    pub fn solve(&self, weights: &[u8]) -> i32 {
+        assert!(!weights.is_empty(), "empty weight filter");
+        assert!(weights.len() <= 1 << 23, "filter over 2^23 weights");
+        let hist = histogram(weights);
+        crate::engine::with_best_isa(
+            #[inline(always)]
+            || {
+                // `costs[r]` is the cost of φ = 255 − r.
+                let mut costs = [0.0f64; LANES];
+                for (table, &scale) in self.tables.iter().zip(&self.scales) {
+                    let mut sums = [0i32; LANES];
+                    for (v, &count) in hist.iter().enumerate().filter(|(_, &c)| c != 0) {
+                        for (sum, &t) in sums.iter_mut().zip(&table[v..v + LANES]) {
+                            *sum += count as i32 * i32::from(t);
+                        }
+                    }
+                    for (cost, &sum) in costs.iter_mut().zip(&sums) {
+                        *cost += scale * f64::from(sum).powi(4);
+                    }
+                }
+                // Ascending φ is descending lane; a strict `<` keeps the
+                // smallest.
+                let mut best = (1, f64::INFINITY);
+                for (phi, &cost) in (1..=255).zip(costs[..LANES - 1].iter().rev()) {
+                    if cost < best.1 {
+                        best = (phi, cost);
+                    }
+                }
+                best.0
+            },
+        )
+    }
 }
 
 fn histogram(weights: &[u8]) -> [u32; 256] {
@@ -125,23 +156,6 @@ fn histogram(weights: &[u8]) -> [u32; 256] {
         hist[usize::from(w)] += 1;
     }
     hist
-}
-
-fn cost_from_histogram(hist: &[u32; 256], slicing: &Slicing, phi: i32) -> f64 {
-    let mut cost = 0.0;
-    for slice in slicing.slices() {
-        let mut column_sum = 0i64;
-        for (v, &count) in hist.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            let offset = v as i32 - phi;
-            column_sum += i64::from(count) * i64::from(slice.crop(offset));
-        }
-        let balance = column_sum as f64;
-        cost += f64::from(1u32 << slice.shift()) * balance.powi(4);
-    }
-    cost
 }
 
 /// Mean signed slice value per column under a given center — the

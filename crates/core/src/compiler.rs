@@ -19,7 +19,7 @@ use raella_xbar::slicing::{Slice, Slicing};
 
 use crate::accuracy::FidelityReport;
 use crate::adaptive;
-use crate::center::{offsets, optimal_center};
+use crate::center::{offsets, CenterSolver};
 use crate::config::{RaellaConfig, WeightEncoding};
 use crate::engine::{run_batch_parallel_at_age, RunStats};
 use crate::error::CoreError;
@@ -226,9 +226,12 @@ impl CompiledLayer {
         slicing: Slicing,
         cfg: &RaellaConfig,
     ) -> Result<Self, CoreError> {
+        let mut solver = None; // built once `encode` has validated the slicing
         Self::encode(layer, slicing, cfg, |f, _, weights, slicing| {
             match cfg.encoding {
-                WeightEncoding::CenterOffset => optimal_center(weights, slicing),
+                WeightEncoding::CenterOffset => solver
+                    .get_or_insert_with(|| CenterSolver::new(slicing))
+                    .solve(weights),
                 WeightEncoding::ZeroOffset => i32::from(layer.quant().weight_zero_points[f]),
             }
         })

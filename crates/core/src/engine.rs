@@ -29,8 +29,8 @@
 //!   returns a local [`RunStats`] delta; [`finalize_vector`] requantizes
 //!   the vector's reduced accumulators.
 //! * [`run_batch_at_age`] runs a batch serially, and
-//!   [`run_batch_parallel_at_age`] fans contiguous vector blocks across
-//!   threads and merges the deltas. Nothing is shared between vectors, so
+//!   [`run_batch_parallel_at_age`] lets threads claim contiguous vector
+//!   chunks and merges the deltas. Nothing is shared between vectors, so
 //!   both produce bit-identical output bytes and statistics at any thread
 //!   count, noisy or not. Both run the same private per-vector loop.
 //!
@@ -221,7 +221,7 @@ const _: () = assert!(PANEL_WIDTH <= u64::BITS as usize);
 /// `#[inline(always)]` body, so the whole kernel inlines into the AVX2
 /// wrapper and is compiled a second time for it.
 #[inline(always)]
-fn with_best_isa<R>(body: impl FnOnce() -> R) -> R {
+pub(crate) fn with_best_isa<R>(body: impl FnOnce() -> R) -> R {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: `avx2` is safe code compiled with AVX2 enabled; calling
@@ -670,9 +670,10 @@ pub fn run_batch_groups_at_age(
     stats.merge(&local);
 }
 
-/// Whole-layer batch execution over `threads` contiguous vector blocks
-/// (one block runs on the calling thread): each block runs every row
-/// group of its vectors and finalizes them into its region of the output.
+/// Whole-layer batch execution over `threads` workers, the calling thread
+/// among them, that claim contiguous vector chunks: each chunk runs every
+/// row group of its vectors and finalizes them into its region of the
+/// output.
 fn run_batch_blocks(
     layer: &CompiledLayer,
     inputs: &[Act],

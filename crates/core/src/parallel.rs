@@ -1,23 +1,24 @@
 //! Deterministic data-parallel fan-out for batch execution.
 //!
-//! Work items (input vectors) are split into contiguous blocks, one per
-//! worker; each worker writes its own disjoint output region and returns a
-//! local accumulator that the caller merges in block order. Because every
-//! item's result depends only on `(layer, item, item index)` — noise
-//! streams are derived per item, see
+//! Work items (input vectors) are cut into contiguous chunks, about eight
+//! per worker, which the workers claim one at a time; each chunk writes
+//! its own disjoint output region and returns a local accumulator that
+//! the caller merges in item order. Because every item's result depends
+//! only on `(layer, item, item index)` — noise streams are derived per
+//! item, see
 //! [`raella_xbar::noise::NoiseRng::for_stream`] — the output bytes and the
 //! merged statistics are bit-identical at any thread count, including 1.
 //!
-//! Built on `std::thread::scope`: no dependency, no unsafe, no pool state.
-//! The caller runs block 0 and each other block gets a scoped thread,
-//! which costs 25–45 µs of wall time on a shared 2-vCPU x86-64 host; the
+//! Built on `std::thread::scope` and a `Mutex` over the chunk iterator.
+//! The caller is a worker and each other worker a scoped thread, which
+//! costs 25–45 µs of wall time on a shared 2-vCPU x86-64 host; the
 //! engine amortizes that over whole batches, and batches smaller than
 //! [`MIN_ITEMS_PER_THREAD`] items per worker shrink the worker count.
 //! The core count is read once per process ([`cores`]), so a CPU quota
 //! change after the first fan-out is not seen; `RAELLA_THREADS` is read
 //! on every call.
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 /// Minimum items per worker before another thread pays for itself.
 pub const MIN_ITEMS_PER_THREAD: usize = 2;
@@ -62,42 +63,67 @@ fn thread_budget(env: Option<&str>, cores: usize, items: usize, min_per_worker: 
     hw.min(items.div_ceil(min_per_worker.max(1))).max(1)
 }
 
-/// Runs `work` on every part, part 0 on the calling thread and each
-/// other part on its own scoped thread; results come back in part order.
-/// A panic in any part propagates once every part has finished.
+/// Chunks per worker a fan-out cuts its items into.
+const CHUNKS_PER_THREAD: usize = 8;
+
+/// Items per chunk: all of them for one worker, else about
+/// `items / (threads × CHUNKS_PER_THREAD)`, at least 1.
+fn chunk_items(items: usize, threads: usize) -> usize {
+    let per_thread = if threads > 1 { CHUNKS_PER_THREAD } else { 1 };
+    items.div_ceil(threads.max(1) * per_thread)
+}
+
+/// Runs `work` on every part over up to `threads` threads and returns the
+/// results in part order. The caller claims part 0 before it spawns; then
+/// every thread claims the next unclaimed part until none is left. A
+/// panic in any part propagates once every thread has stopped.
 fn fan_out<P: Send, A: Send>(
-    parts: impl Iterator<Item = P>,
+    parts: impl ExactSizeIterator<Item = P> + Send,
+    threads: usize,
     work: impl Fn(P) -> A + Sync,
 ) -> Vec<A> {
-    let mut parts = parts.peekable();
-    let head = parts.next().expect("at least one part");
-    if parts.peek().is_none() {
-        return vec![work(head)];
+    let spawned = threads.clamp(1, parts.len()) - 1;
+    if spawned == 0 {
+        return parts.map(work).collect();
     }
-    std::thread::scope(|scope| {
-        let work = &work;
-        let handles: Vec<_> = parts.map(|p| scope.spawn(move || work(p))).collect();
-        let head = work(head);
-        let rest = handles
-            .into_iter()
-            .map(|h| h.join().expect("parallel worker panicked"));
-        std::iter::once(head).chain(rest).collect()
-    })
+    let cursor = Mutex::new(parts.enumerate());
+    let claim = || cursor.lock().expect("cursor never poisoned").next();
+    let drain = |mut next: Option<(usize, P)>| {
+        let mut done = Vec::new();
+        while let Some((i, part)) = next {
+            done.push((i, work(part)));
+            next = claim();
+        }
+        done
+    };
+    let head = claim();
+    let mut done = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..spawned)
+            .map(|_| scope.spawn(|| drain(claim())))
+            .collect();
+        let mut done = drain(head);
+        for handle in handles {
+            done.extend(handle.join().expect("parallel worker panicked"));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, a)| a).collect()
 }
 
 /// Runs `work` over `items` work items fanned out across `threads`
-/// contiguous blocks, writing into disjoint `stride`-sized regions of
-/// `out`. The calling thread runs block 0.
+/// workers, writing into disjoint `stride`-sized regions of `out`. The
+/// workers, the calling thread first, claim contiguous chunks of items.
 ///
-/// `work(first_item, n_items, out_block)` processes items
+/// `work(first_item, n_items, out_chunk)` processes items
 /// `first_item .. first_item + n_items`, writing `n_items × stride` bytes
-/// into `out_block`, and returns a block-local accumulator. Accumulators
-/// are returned in block order (deterministic regardless of scheduling).
+/// into `out_chunk`, and returns a chunk-local accumulator. Accumulators
+/// are returned in item order (deterministic regardless of scheduling).
 ///
 /// # Panics
 ///
 /// Panics if `out.len() != items × stride`, if `stride` is 0 while
-/// `items` is not, or if a worker panics (once every block finished).
+/// `items` is not, or if a worker panics (once every worker stopped).
 pub fn run_blocks<A, F>(
     out: &mut [u8],
     items: usize,
@@ -113,27 +139,19 @@ where
     if items == 0 {
         return Vec::new();
     }
-    let block_items = items.div_ceil(threads.clamp(1, items));
-    let blocks = out.chunks_mut(block_items * stride).enumerate();
-    fan_out(blocks, |(b, block)| {
-        work(b * block_items, block.len() / stride, block)
+    let chunk = chunk_items(items, threads);
+    let chunks = out.chunks_mut(chunk * stride).enumerate();
+    fan_out(chunks, threads, |(c, block)| {
+        work(c * chunk, block.len() / stride, block)
     })
 }
 
-/// Runs `work` over `items` work items fanned out across `threads`
-/// contiguous blocks, with no shared output buffer. The calling thread
-/// runs block 0.
-///
-/// `work(first_item, n_items)` processes items
-/// `first_item .. first_item + n_items` and returns a block-local result;
-/// results come back in block order (deterministic regardless of
-/// scheduling). This is the fan-out for work whose output size is not
-/// known up front — e.g. whole images through a compiled model, where each
-/// block returns its own tensors.
-///
-/// # Panics
-///
-/// Panics if a worker panics (once every block finished).
+/// [`run_blocks`] with no shared output buffer: `work(first_item,
+/// n_items)` returns a chunk-local result, and results come back in item
+/// order. This is the fan-out for work whose output size is not known up
+/// front — e.g. whole images through a compiled model, where each chunk
+/// returns its own tensors. Panics if a worker panics (once every worker
+/// stopped).
 pub fn run_chunks<A, F>(items: usize, threads: usize, work: F) -> Vec<A>
 where
     A: Send,
@@ -142,9 +160,10 @@ where
     if items == 0 {
         return Vec::new();
     }
-    let block_items = items.div_ceil(threads.clamp(1, items));
-    fan_out((0..items).step_by(block_items), |first| {
-        work(first, block_items.min(items - first))
+    let chunk = chunk_items(items, threads);
+    let firsts = (0..items.div_ceil(chunk)).map(|c| c * chunk);
+    fan_out(firsts, threads, |first| {
+        work(first, chunk.min(items - first))
     })
 }
 #[cfg(test)]
@@ -254,34 +273,123 @@ mod tests {
         }
     }
 
+    /// `run_blocks` (stride 1, output unused) and `run_chunks` over the
+    /// same `work(first, n)`, in that order.
+    fn both<A: Send>(
+        items: usize,
+        threads: usize,
+        work: impl Fn(usize, usize) -> A + Sync,
+    ) -> [Vec<A>; 2] {
+        let mut out = vec![0u8; items];
+        let blocks = run_blocks(&mut out, items, 1, threads, |first, n, _| work(first, n));
+        [blocks, run_chunks(items, threads, work)]
+    }
+
     #[test]
-    fn block_zero_runs_on_the_caller_and_results_keep_block_order() {
-        let caller = std::thread::current().id();
-        let chunks = run_chunks(12, 4, |first, n| (first, n, std::thread::current().id()));
-        let mut out = vec![0u8; 12];
-        let blocks = run_blocks(&mut out, 12, 1, 4, |first, n, _| {
-            (first, n, std::thread::current().id())
-        });
-        for results in [chunks, blocks] {
-            let firsts: Vec<(usize, usize)> = results.iter().map(|&(f, n, _)| (f, n)).collect();
-            assert_eq!(firsts, [(0, 3), (3, 3), (6, 3), (9, 3)]);
-            assert_eq!(results[0].2, caller);
-            assert!(results[1..].iter().all(|&(_, _, id)| id != caller));
+    fn every_item_is_claimed_once_and_comes_back_in_item_order() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let items = 1000;
+        for threads in [1, 2, 3, 4, 8, 37, 64] {
+            let claims: Vec<AtomicUsize> = (0..items).map(|_| AtomicUsize::new(0)).collect();
+            let results = both(items, threads, |first, n| {
+                for claim in &claims[first..first + n] {
+                    claim.fetch_add(1, Ordering::SeqCst);
+                }
+                (first, n)
+            });
+            // Once by each of the two fan-outs.
+            assert!(
+                claims.iter().all(|c| c.load(Ordering::SeqCst) == 2),
+                "threads={threads}"
+            );
+            for chunks in results {
+                let mut next = 0;
+                for (first, n) in chunks.iter().copied() {
+                    assert_eq!(first, next, "threads={threads}");
+                    next = first + n;
+                }
+                assert_eq!(next, items, "threads={threads}");
+                let most = if threads == 1 {
+                    1
+                } else {
+                    threads * CHUNKS_PER_THREAD
+                };
+                assert!(chunks.len() <= most, "threads={threads}");
+            }
         }
     }
 
-    /// Runs `fan` with a work function that panics in `bad_block` while
-    /// every other block waits for that panic to start and then counts
+    #[test]
+    fn the_caller_claims_the_first_chunk() {
+        let caller = std::thread::current().id();
+        for threads in [2, 4, 8] {
+            for results in both(64, threads, |first, _| (first, std::thread::current().id())) {
+                assert_eq!(results[0], (0, caller), "threads={threads}");
+            }
+        }
+    }
+
+    /// Every spawned thread sleeps inside its first chunk until the caller
+    /// has run all the others (or 10 s pass); the caller waits in its own
+    /// first chunk until every spawned thread is asleep, so nothing but
+    /// claiming decides who runs the rest.
+    #[test]
+    fn the_caller_finishes_the_rest_while_the_other_threads_sleep() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::{Duration, Instant};
+        let caller = std::thread::current().id();
+        for threads in [2, 4] {
+            let items = threads * CHUNKS_PER_THREAD;
+            let sleepers = threads - 1;
+            for blocks in [false, true] {
+                let (asleep, caller_ran) = (AtomicUsize::new(0), AtomicUsize::new(0));
+                let deadline = Instant::now() + Duration::from_secs(10);
+                let wait_for = |counter: &AtomicUsize, value: usize| {
+                    while counter.load(Ordering::SeqCst) < value && Instant::now() < deadline {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                };
+                let work = |first: usize, _| {
+                    let me = std::thread::current().id();
+                    if me == caller {
+                        if first == 0 {
+                            wait_for(&asleep, sleepers);
+                        }
+                        caller_ran.fetch_add(1, Ordering::SeqCst);
+                    } else {
+                        asleep.fetch_add(1, Ordering::SeqCst);
+                        wait_for(&caller_ran, items - sleepers);
+                    }
+                    me
+                };
+                let ran_on = if blocks {
+                    let mut out = vec![0u8; items];
+                    run_blocks(&mut out, items, 1, threads, |first, n, _| work(first, n))
+                } else {
+                    run_chunks(items, threads, work)
+                };
+                let on_caller = ran_on.iter().filter(|&&id| id == caller).count();
+                assert_eq!(
+                    on_caller,
+                    items - sleepers,
+                    "threads={threads}, run_blocks={blocks}"
+                );
+            }
+        }
+    }
+
+    /// Runs `fan` with a work function that panics in `bad_chunk` while
+    /// every other chunk waits for that panic to start and then counts
     /// itself finished; returns whether `fan` panicked and that count.
-    fn panic_in_block(bad_block: usize, fan: impl Fn(&(dyn Fn(usize) + Sync))) -> (bool, usize) {
+    fn panic_in_chunk(bad_chunk: usize, fan: impl Fn(&(dyn Fn(usize) + Sync))) -> (bool, usize) {
         use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
         let panicking = AtomicBool::new(false);
         let finished = AtomicUsize::new(0);
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            fan(&|block| {
-                if block == bad_block {
+            fan(&|chunk| {
+                if chunk == bad_chunk {
                     panicking.store(true, Ordering::SeqCst);
-                    panic!("planted panic in block {block}");
+                    panic!("planted panic in chunk {chunk}");
                 }
                 while !panicking.load(Ordering::SeqCst) {
                     std::thread::yield_now();
@@ -294,17 +402,17 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_block_propagates_after_the_others_finish() {
-        for bad_block in [0, 2] {
-            let chunks = panic_in_block(bad_block, |work| {
+    fn a_panicking_chunk_propagates_after_the_other_threads_stop() {
+        for bad_chunk in [0, 2, 3] {
+            let chunks = panic_in_chunk(bad_chunk, |work| {
                 run_chunks(4, 4, |first, _| work(first));
             });
-            let blocks = panic_in_block(bad_block, |work| {
+            let blocks = panic_in_chunk(bad_chunk, |work| {
                 let mut out = vec![0u8; 4];
                 run_blocks(&mut out, 4, 1, 4, |first, _, _| work(first));
             });
-            assert_eq!(chunks, (true, 3), "run_chunks, bad block {bad_block}");
-            assert_eq!(blocks, (true, 3), "run_blocks, bad block {bad_block}");
+            assert_eq!(chunks, (true, 3), "run_chunks, bad chunk {bad_chunk}");
+            assert_eq!(blocks, (true, 3), "run_blocks, bad chunk {bad_chunk}");
         }
     }
 }

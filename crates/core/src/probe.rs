@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use raella_nn::matrix::MatrixLayer;
 use raella_xbar::slicing::Slicing;
 
-use crate::center::optimal_center;
+use crate::center::CenterSolver;
 use crate::error::CoreError;
 
 /// Which weight encoding the probe programs.
@@ -76,6 +76,7 @@ impl Probe {
             )));
         }
         let w_slices = self.weight_slicing.slices();
+        let solver = CenterSolver::new(&self.weight_slicing);
         let i_slices = self.input_slicing.slices();
         let inputs = layer.sample_inputs(vectors, seed);
         let mut samples = Vec::new();
@@ -89,7 +90,7 @@ impl Probe {
                     let center = match self.encoding {
                         ProbeEncoding::Unsigned => 0,
                         ProbeEncoding::ZeroOffset => i32::from(layer.quant().weight_zero_points[f]),
-                        ProbeEncoding::CenterOffset => optimal_center(group, &self.weight_slicing),
+                        ProbeEncoding::CenterOffset => solver.solve(group),
                     };
                     for ws in &w_slices {
                         // Signed (or unsigned, center 0) slice levels.

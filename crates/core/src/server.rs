@@ -1110,10 +1110,10 @@ struct Shared {
     /// Workers currently executing a batch. When a worker is the *only*
     /// busy one, it enables vector-level parallelism inside each layer
     /// (sparse traffic gets `run_image`-class latency, and a lone
-    /// coalesced batch doesn't serialize the machine; it runs the first
-    /// block of each layer's vectors itself, and a layer of one block
-    /// inline); when siblings are busy, image/request-level parallelism
-    /// already covers the cores.
+    /// coalesced batch doesn't serialize the machine; it claims chunks of
+    /// each layer's vectors alongside the threads it spawns, and runs a
+    /// layer that fits one worker inline); when siblings are busy,
+    /// image/request-level parallelism already covers the cores.
     /// Both execution modes produce identical bytes, so this is purely a
     /// scheduling choice.
     busy: AtomicUsize,

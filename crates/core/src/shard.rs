@@ -870,7 +870,7 @@ fn run_layer_placed(
             })
             .collect::<Vec<SliceResult>>()
     };
-    // With `parallel`, every tile is a block of its own.
+    // With `parallel`, every tile is a chunk and a worker of its own.
     let threads = if parallel { by_tile.len() } else { 1 };
     let results = run_chunks(by_tile.len(), threads, |first, n| {
         let tiles = &by_tile[first..first + n];

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use raella_core::center::{center_cost, offsets, optimal_center};
+use raella_core::center::{center_cost, offsets, optimal_center, CenterSolver};
 use raella_core::compiler::CompiledLayer;
 use raella_core::engine::{run_batch_at_age, run_batch_parallel_at_age, RunStats};
 use raella_core::RaellaConfig;
@@ -109,6 +109,67 @@ fn optimal_center_breaks_cost_ties_towards_the_smallest_center() {
     let tied = (best + 1..=255).filter(|&phi| center_cost(&weights, &slicing, phi) == cost);
     assert!(tied.count() > 0, "the fixture must tie");
     assert_eq!(optimal_center(&weights, &slicing), best);
+}
+
+/// The first crossbar row group of every `stride`-th filter of `layer`,
+/// starting at `offset`, as the compiler cuts them.
+fn sampled_groups(layer: &MatrixLayer, stride: usize, offset: usize) -> Vec<&[u8]> {
+    let rows = RaellaConfig::default().crossbar_rows;
+    (offset % layer.filters()..layer.filters())
+        .step_by(stride)
+        .map(|f| {
+            let weights = layer.filter_weights(f);
+            &weights[..weights.len().min(rows)]
+        })
+        .collect()
+}
+
+/// The solver on real filters: every mini_resnet18 matrix layer under
+/// every slicing the search can try, one sampled filter per pair. Layers
+/// are checked on scoped threads to keep the brute force's debug-build
+/// wall time down.
+#[test]
+fn center_solver_matches_brute_force_on_mini_resnet18_filters() {
+    let mini = raella_nn::models::mini::mini_resnet18(0xBE);
+    let slicings = Slicing::enumerate(8, 4);
+    std::thread::scope(|scope| {
+        for layer in mini.graph.matrix_layers() {
+            let slicings = &slicings;
+            scope.spawn(move || {
+                for (k, slicing) in slicings.iter().enumerate() {
+                    let group = sampled_groups(layer, layer.filters(), 7 * k)[0];
+                    assert_eq!(
+                        CenterSolver::new(slicing).solve(group),
+                        brute_force_center(group, slicing),
+                        "{} filter {}, slicing {slicing}",
+                        layer.name(),
+                        7 * k % layer.filters()
+                    );
+                }
+            });
+        }
+    });
+}
+
+/// One solver reused across a layer's filters answers as a fresh solver
+/// per filter does.
+#[test]
+fn a_reused_center_solver_matches_a_fresh_one_per_filter() {
+    let mini = raella_nn::models::mini::mini_resnet18(0xBE);
+    let slicings = Slicing::enumerate(8, 4);
+    for (l, layer) in mini.graph.matrix_layers().into_iter().enumerate() {
+        for slicing in slicings.iter().skip(l).step_by(18) {
+            let solver = CenterSolver::new(slicing);
+            for group in sampled_groups(layer, 4, l) {
+                assert_eq!(
+                    solver.solve(group),
+                    optimal_center(group, slicing),
+                    "{}, slicing {slicing}",
+                    layer.name()
+                );
+            }
+        }
+    }
 }
 
 /// A small random layer for engine equivalence properties.

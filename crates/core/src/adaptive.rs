@@ -9,11 +9,20 @@
 //! Fewer slices always win, so candidates are evaluated in ascending
 //! slice-count order and the search stops at the first count with a
 //! feasible slicing — the same result as scanning all 108, in a fraction
-//! of the time. Workers claim the candidates of a count one by one
-//! ([`crate::parallel::run_chunks`]). Against the paper's GPU
-//! preprocessing (10–1000 ms/layer), a mini_resnet18 layer's search takes
-//! 0.1 ms when its first candidate fits the budget and 1.3–5.7 ms for 13
-//! candidates, on a shared 2-vCPU x86-64 host.
+//! of the time. Work that does not depend on the candidate is done once:
+//! each count group solves Eq. (2) for all its candidates in one pass per
+//! filter group, whose base sums they share
+//! ([`crate::center::CenterSolver::shared`]), and the layer's
+//! programming-error streams are drawn once, up to the largest slice count
+//! tried. Workers claim the candidates of a count one by one
+//! ([`crate::parallel::run_chunks`]) to encode and simulate them; the
+//! winner's centers and draws go back to [`CompiledLayer::compile`], which
+//! neither solves nor draws again. Against the paper's GPU preprocessing
+//! (10–1000 ms/layer), a mini_resnet18 layer's search on one thread takes
+//! 0.06–1.2 ms when its first candidate fits the budget and 0.8–4.3 ms
+//! for 13 candidates (the head's 384-row filters the slowest) on an ideal
+//! device, and 0.1–2.1 ms and 1.5–5.6 ms under servebench's aged config,
+//! on a shared 2-vCPU x86-64 host.
 //!
 //! The simulation honours the configured noise model, which is what makes
 //! the search *noise-aware*: as noise rises, wider slices blow the budget
@@ -25,7 +34,7 @@ use raella_nn::matrix::MatrixLayer;
 use raella_nn::quant::mean_error_nonzero;
 use raella_xbar::slicing::Slicing;
 
-use crate::compiler::CompiledLayer;
+use crate::compiler::{layer_centers, CompiledLayer, ProgrammingDraws};
 use crate::config::RaellaConfig;
 use crate::engine::{run_batch_at_age, RunStats};
 use crate::error::CoreError;
@@ -40,13 +49,26 @@ pub struct SlicingSearchResult {
     pub error: f64,
     /// Candidates actually simulated (≤ 108).
     pub evaluated: usize,
+    /// The chosen slicing's filter-group centers under the search's
+    /// encoding, in [`CompiledLayer::encode`]'s layout.
+    pub(crate) centers: Vec<u8>,
+    /// The layer's programming-error draws for the chosen slicing's slice
+    /// count ([`ProgrammingDraws`]' layout; empty on an ideal device).
+    pub(crate) deltas: Vec<i8>,
 }
 
 /// Runs Algorithm 1's `FindBestSlicing` for one layer.
 ///
+/// Each slice-count group solves Eq. (2) once for all its candidates
+/// ([`crate::center::CenterSolver::shared`]), and the layer's
+/// programming-error streams are drawn once, up to the group's slice
+/// count; every candidate is then encoded from them and simulated. The
+/// result carries the winner's centers and draws for
+/// [`CompiledLayer::compile`].
+///
 /// If *no* slicing meets the budget (extreme noise), the most conservative
-/// slicing — eight 1b slices — is returned with its measured error, the
-/// paper's minimal-slice-size fallback (§3.4).
+/// slicing — eight 1b slices, the last group — is returned with its
+/// measured error, the paper's minimal-slice-size fallback (§3.4).
 ///
 /// # Errors
 ///
@@ -64,77 +86,80 @@ pub fn find_best_slicing(
 
     let mut candidates = Slicing::enumerate(8, u32::from(cfg.cell_bits).min(4));
     candidates.sort_by_key(Slicing::num_slices);
+    let mut draws = ProgrammingDraws::new(layer, cfg);
 
     let mut evaluated = 0usize;
-    let mut i = 0;
-    while i < candidates.len() {
-        // One slice-count group at a time; fewer slices always preferred.
-        let count = candidates[i].num_slices();
-        let group_end = candidates[i..]
-            .iter()
-            .position(|s| s.num_slices() != count)
-            .map_or(candidates.len(), |p| i + p);
-        let group = &candidates[i..group_end];
-        let errors = evaluate_group(layer, group, &search_cfg, &inputs, &expected);
+    // One slice-count group at a time; fewer slices always preferred.
+    let mut groups = candidates
+        .chunk_by(|a, b| a.num_slices() == b.num_slices())
+        .peekable();
+    while let Some(group) = groups.next() {
+        let centers = layer_centers(layer, group, &search_cfg);
+        draws.draw_to(group[0].num_slices());
+        let errors = evaluate_group(
+            layer,
+            group,
+            &search_cfg,
+            &centers,
+            draws.deltas(),
+            &inputs,
+            &expected,
+        );
         evaluated += group.len();
-        let best = errors
+        let feasible = errors
             .iter()
             .enumerate()
             .filter(|(_, &e)| e < cfg.error_budget)
             .min_by(|a, b| a.1.partial_cmp(b.1).expect("errors are finite"));
-        if let Some((idx, &error)) = best {
+        // Nothing met the budget: keep the most conservative slicing.
+        let last = groups.peek().is_none();
+        if let Some((idx, &error)) = feasible.or(last.then_some((0, &errors[0]))) {
+            debug_assert!(feasible.is_some() || group == [Slicing::uniform(1, 8)]);
+            let lanes = centers.len() / group.len();
             return Ok(SlicingSearchResult {
                 slicing: group[idx].clone(),
                 error,
                 evaluated,
+                centers: centers[idx * lanes..(idx + 1) * lanes].to_vec(),
+                deltas: draws.into_deltas(),
             });
         }
-        i = group_end;
     }
-
-    // Nothing met the budget: fall back to the most conservative slicing.
-    let fallback = Slicing::uniform(1, 8);
-    let error = evaluate_one(layer, &fallback, &search_cfg, &inputs, &expected);
-    Ok(SlicingSearchResult {
-        slicing: fallback,
-        error,
-        evaluated: evaluated + 1,
-    })
+    unreachable!("the last slice-count group always returns")
 }
 
-/// Evaluates one candidate slicing: compile, simulate, measure §4.2.1 error.
-fn evaluate_one(
-    layer: &MatrixLayer,
-    slicing: &Slicing,
-    search_cfg: &RaellaConfig,
-    inputs: &[raella_nn::matrix::Act],
-    expected: &[u8],
-) -> f64 {
-    let compiled = CompiledLayer::with_slicing(layer, slicing.clone(), search_cfg)
-        .expect("enumerated slicings are valid for the validated config");
-    let mut stats = RunStats::default();
-    // Deterministic per-candidate noise seed, independent of evaluation
-    // order (so parallel and serial searches agree). The batch itself runs
-    // serially: the search already parallelizes across candidates.
-    let salt: u64 = slicing.widths().iter().fold(0u64, |acc, &w| {
-        acc.wrapping_mul(31).wrapping_add(u64::from(w))
-    });
-    let outputs = run_batch_at_age(&compiled, inputs, &mut stats, search_cfg.seed ^ salt, 0, 0);
-    mean_error_nonzero(expected, &outputs)
-}
-
-/// Evaluates a group of candidates, which the workers claim one by one.
+/// Evaluates a group of candidates, which the workers claim one by one:
+/// encode each from its centers (`centers[c · lanes ..]`) and the shared
+/// draws, simulate, and measure the §4.2.1 error.
 fn evaluate_group(
     layer: &MatrixLayer,
     group: &[Slicing],
     search_cfg: &RaellaConfig,
+    centers: &[u8],
+    deltas: &[i8],
     inputs: &[raella_nn::matrix::Act],
     expected: &[u8],
 ) -> Vec<f64> {
+    let lanes = centers.len() / group.len();
     run_chunks(group.len(), worker_count_for(group.len(), 1), |first, n| {
-        group[first..first + n]
-            .iter()
-            .map(|s| evaluate_one(layer, s, search_cfg, inputs, expected))
+        (first..first + n)
+            .map(|c| {
+                let slicing = &group[c];
+                let centers = &centers[c * lanes..(c + 1) * lanes];
+                let compiled =
+                    CompiledLayer::encode(layer, slicing.clone(), search_cfg, centers, deltas);
+                let mut stats = RunStats::default();
+                // Deterministic per-candidate noise seed, independent of
+                // evaluation order (so parallel and serial searches
+                // agree). The batch itself runs serially: the search
+                // already parallelizes across candidates.
+                let salt: u64 = slicing.widths().iter().fold(0u64, |acc, &w| {
+                    acc.wrapping_mul(31).wrapping_add(u64::from(w))
+                });
+                let seed = search_cfg.seed ^ salt;
+                let outputs = run_batch_at_age(&compiled, inputs, &mut stats, seed, 0, 0);
+                mean_error_nonzero(expected, &outputs)
+            })
             .collect::<Vec<_>>()
     })
     .concat()
@@ -211,6 +236,8 @@ mod tests {
         // budget 0.0 with `error < budget` strict comparison is infeasible.
         let res = find_best_slicing(&layer, &cfg).unwrap();
         assert_eq!(res.slicing, Slicing::uniform(1, 8));
+        // The fallback is the last candidate tried, simulated once.
+        assert_eq!(res.evaluated, 108);
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! the fourth power penalizes strongly unbalanced columns; the `2^{lᵢ}`
 //! factor weights misbalance by the bit position it pollutes.
 
+use std::sync::OnceLock;
+
 use raella_xbar::slicing::{crop_signed, Slice, Slicing};
 
 /// Splits a stored-domain weight into `(w⁺, w⁻)` offsets around `center`.
@@ -83,68 +85,144 @@ pub fn optimal_center(weights: &[u8], slicing: &Slicing) -> i32 {
 /// only rounds the pass up to whole vectors.
 const LANES: usize = 256;
 
-/// Eq. (2) for every filter under one slicing: each slice's `crop(d)` for
-/// every offset `d ∈ −255..=255`, and its `2^shift` scale, tabulated once.
+/// Slice `slice`'s `crop(d)` for every offset `d ∈ −255..=255`, at
+/// `[d + 255]`. The tables of all 36 slices within bits 7..=0 are built
+/// once per process. Offsets of 8b weights have no magnitude bit above 7,
+/// so a slice reaching higher crops like its part below bit 8.
+///
+/// # Panics
+///
+/// Panics if the slice starts above bit 7, where every crop is 0.
+pub(crate) fn crop_table(slice: Slice) -> &'static [i16; 511] {
+    static TABLES: OnceLock<Vec<[i16; 511]>> = OnceLock::new();
+    assert!(slice.l < 8, "slice {slice:?} crops every offset to 0");
+    let tables = TABLES.get_or_init(|| {
+        (0..8)
+            .flat_map(|h| (0..=h).map(move |l| Slice { h, l }))
+            .map(|s| std::array::from_fn(|i| s.crop(i as i32 - 255) as i16))
+            .collect()
+    });
+    let h = slice.h.min(7);
+    &tables[(h * (h + 1) / 2 + slice.l) as usize]
+}
+
+/// Eq. (2) for every filter under one or several slicings.
+///
+/// Each slice's column sum derives from two sums over whole low-order
+/// parts of the offset: with `T_k(d) = crop(7..=k, d)` (and `T_8 = 0`,
+/// since offsets have no magnitude bit above 7),
+/// `crop(h..=l, d) = T_l(d) − 2^{h−l+1}·T_{h+1}(d)` exactly. So a solve
+/// sums the histogram against at most eight base tables, one per distinct
+/// `l` among the slices, however many slicings share them, and derives
+/// each slice's sum from two of them in exact `i32` arithmetic.
 #[derive(Debug, Clone)]
 pub struct CenterSolver {
-    /// `tables[s][d + 255]` is live slice `s`'s `crop(d)`.
-    tables: Vec<[i16; 511]>,
-    /// `2^shift` per live slice.
-    scales: Vec<f64>,
+    /// The base tables the slicings need: `(k, T_k)`.
+    bases: Vec<(usize, &'static [i16; 511])>,
+    /// Per slicing, its live slices in slice order as
+    /// `(l, min(h, 7) + 1, 2^shift)`.
+    slicings: Vec<Vec<(usize, usize, f64)>>,
 }
 
 impl CenterSolver {
-    /// Tabulates `slicing`'s slices. Offsets span −255..=255, so only
-    /// slices below bit 8 can crop a nonzero value; the others add an
-    /// exact 0.0 to every cost and are skipped.
+    /// A solver for `slicing` alone.
     pub fn new(slicing: &Slicing) -> Self {
-        let live: Vec<Slice> = slicing.slices().into_iter().filter(|s| s.l < 8).collect();
+        Self::shared(std::slice::from_ref(slicing))
+    }
+
+    /// One solver for every slicing in `slicings`, which share its base
+    /// sums. Offsets span −255..=255, so only slices below bit 8 can crop
+    /// a nonzero value; the others add an exact 0.0 to every cost and are
+    /// skipped.
+    pub fn shared(slicings: &[Slicing]) -> Self {
+        let slicings: Vec<Vec<(usize, usize, f64)>> = slicings
+            .iter()
+            .map(|slicing| {
+                let live = slicing.slices().into_iter().filter(|s| s.l < 8);
+                live.map(|s| {
+                    (
+                        s.l as usize,
+                        s.h.min(7) as usize + 1,
+                        f64::from(1u32 << s.l),
+                    )
+                })
+                .collect()
+            })
+            .collect();
+        let mut needed = [false; 8];
+        for &(l, _, _) in slicings.iter().flatten() {
+            needed[l] = true;
+        }
         CenterSolver {
-            tables: live
-                .iter()
-                .map(|s| std::array::from_fn(|i| s.crop(i as i32 - 255) as i16))
+            bases: (0..8)
+                .filter(|&k| needed[k])
+                .map(|k| (k, crop_table(Slice { h: 7, l: k as u32 })))
                 .collect(),
-            scales: live.iter().map(|s| f64::from(1u32 << s.shift())).collect(),
+            slicings,
         }
     }
 
-    /// The Eq. (2) center of `weights`. For each slice, every occupied
-    /// histogram bin `v` adds `count · crop(v − φ)` (`table[v + r]`,
-    /// `r = 255 − φ`) into one exact `i32` lane per center, all centers in
-    /// one contiguous pass; each center's cost is then the same `f64`
-    /// expression, summed in slice order, as [`center_cost`], so the
-    /// argmin is bit-identical to a brute-force scan of it. Runs on AVX2
-    /// when the CPU has it. Panics if `weights` is empty or longer than
-    /// 2^23, where `i32` lanes could overflow.
+    /// The Eq. (2) center of `weights` under the (first) slicing the
+    /// solver was built for; panics as [`CenterSolver::solve_each`] does.
     pub fn solve(&self, weights: &[u8]) -> i32 {
+        let mut centers = vec![0; self.slicings.len()];
+        self.solve_each(weights, &mut centers);
+        i32::from(centers[0])
+    }
+
+    /// Writes the Eq. (2) center of `weights` under each of the solver's
+    /// slicings into `centers`, in the order they were given. For each
+    /// base table, every occupied histogram bin `v` adds
+    /// `count · T_k(v − φ)` (`table[v + r]`, `r = 255 − φ`) into one exact
+    /// `i32` lane per center, all centers in one contiguous pass; each
+    /// slicing's cost per center is then the same `f64` expression over
+    /// the same exact column sums, in its own slice order, as
+    /// [`center_cost`], so the argmin is bit-identical to a brute-force
+    /// scan of it. Runs on AVX2 when the CPU has it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` is empty or longer than 2^23, where `i32` lanes
+    /// could overflow, or if `centers` does not hold one center per
+    /// slicing.
+    pub fn solve_each(&self, weights: &[u8], centers: &mut [u8]) {
         assert!(!weights.is_empty(), "empty weight filter");
         assert!(weights.len() <= 1 << 23, "filter over 2^23 weights");
+        assert_eq!(centers.len(), self.slicings.len(), "one center per slicing");
         let hist = histogram(weights);
+        // `base[k][r]`: Σ_v count_v · T_k(v − φ) for φ = 255 − r.
+        let mut base = [[0i32; LANES]; 9];
         crate::engine::with_best_isa(
             #[inline(always)]
             || {
-                // `costs[r]` is the cost of φ = 255 − r.
-                let mut costs = [0.0f64; LANES];
-                for (table, &scale) in self.tables.iter().zip(&self.scales) {
-                    let mut sums = [0i32; LANES];
+                for &(k, table) in &self.bases {
                     for (v, &count) in hist.iter().enumerate().filter(|(_, &c)| c != 0) {
-                        for (sum, &t) in sums.iter_mut().zip(&table[v..v + LANES]) {
+                        for (sum, &t) in base[k].iter_mut().zip(&table[v..v + LANES]) {
                             *sum += count as i32 * i32::from(t);
                         }
                     }
-                    for (cost, &sum) in costs.iter_mut().zip(&sums) {
-                        *cost += scale * f64::from(sum).powi(4);
-                    }
                 }
-                // Ascending φ is descending lane; a strict `<` keeps the
-                // smallest.
-                let mut best = (1, f64::INFINITY);
-                for (phi, &cost) in (1..=255).zip(costs[..LANES - 1].iter().rev()) {
-                    if cost < best.1 {
-                        best = (phi, cost);
+                for (slices, center) in self.slicings.iter().zip(centers) {
+                    // `costs[r]` is the cost of φ = 255 − r.
+                    let mut costs = [0.0f64; LANES];
+                    for &(l, above, scale) in slices {
+                        let carry = 1 << (above - l);
+                        let lanes = base[l].iter().zip(&base[above]);
+                        for (cost, (&low, &high)) in costs.iter_mut().zip(lanes) {
+                            let sum = low - carry * high;
+                            *cost += scale * f64::from(sum).powi(4);
+                        }
                     }
+                    // Ascending φ is descending lane; a strict `<` keeps
+                    // the smallest.
+                    let mut best = (1, f64::INFINITY);
+                    for (phi, &cost) in (1..=255).zip(costs[..LANES - 1].iter().rev()) {
+                        if cost < best.1 {
+                            best = (phi, cost);
+                        }
+                    }
+                    *center = best.0;
                 }
-                best.0
             },
         )
     }
@@ -262,6 +340,23 @@ mod tests {
         let phi = optimal_center(&ws, &slicing);
         assert_eq!(phi, 200, "all offsets zero is the global optimum");
         assert_eq!(center_cost(&ws, &slicing, phi), 0.0);
+    }
+
+    #[test]
+    fn crop_tables_match_crop_for_every_slice() {
+        for h in 0..12 {
+            for l in 0..=h.min(7) {
+                let slice = Slice { h, l };
+                let table = crop_table(slice);
+                for d in -255..=255 {
+                    assert_eq!(
+                        i32::from(table[(d + 255) as usize]),
+                        slice.crop(d),
+                        "{slice:?} {d}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,14 +15,15 @@ use serde::{Deserialize, Serialize};
 use raella_nn::matrix::MatrixLayer;
 use raella_nn::quant::OutputQuant;
 use raella_xbar::noise::NoiseRng;
-use raella_xbar::slicing::{Slice, Slicing};
+use raella_xbar::slicing::Slicing;
 
 use crate::accuracy::FidelityReport;
 use crate::adaptive;
-use crate::center::{offsets, CenterSolver};
+use crate::center::{crop_table, CenterSolver};
 use crate::config::{RaellaConfig, WeightEncoding};
 use crate::engine::{run_batch_parallel_at_age, RunStats};
 use crate::error::CoreError;
+use crate::parallel::{run_chunks, worker_count_for};
 
 /// Filters per cache-blocked column panel in the packed level layout
 /// ([`LevelPanels`]). 64 `i16` lanes are two cache lines per packed row —
@@ -84,34 +85,133 @@ impl LevelPanels {
 /// stream (which key off the run seed XOR `0xE61E` / fidelity constants).
 const PROGRAM_STREAM: u64 = 0x9B06;
 
-/// Perturbs the compiled slice levels with the lifetime model's
-/// programming error: each cell lands within a Gaussian of
-/// `programming_sigma` levels around its target, clamped to the slice's
-/// representable magnitude.
+/// Filter groups per worker before the Eq. (2) pass fans out: one group
+/// solves in about 2 µs and a spawned worker costs 25–45 µs on a shared
+/// 2-vCPU x86-64 host, so a worker's share must take longer than its
+/// spawn.
+const MIN_GROUPS_PER_THREAD: usize = 32;
+
+/// The lifetime model's programming error for one layer: each cell lands
+/// within a Gaussian of `programming_sigma` levels around its target,
+/// clamped to the slice's representable magnitude.
 ///
 /// The draw is a pure function of `(seed, generation, filter, group)` —
-/// one substream per filter-group, consumed in fixed `(slice, row)` order
-/// — so re-compiling at the same generation reproduces the exact same
-/// array, and bumping the generation (re-programming) takes a fresh,
-/// equally deterministic draw. Input-independent: programming error is
-/// frozen at write time, unlike read noise.
-fn apply_programming_error(groups: &mut [Vec<FilterGroup>], slices: &[Slice], cfg: &RaellaConfig) {
-    let sigma = cfg.lifetime.programming_sigma;
-    let generation = cfg.lifetime.generation;
-    let groups_per_filter = groups[0].len() as u64;
-    for (f, fgs) in groups.iter_mut().enumerate() {
-        for (gi, g) in fgs.iter_mut().enumerate() {
-            let lane = f as u64 * groups_per_filter + gi as u64;
-            let mut rng = NoiseRng::for_substream(cfg.seed ^ PROGRAM_STREAM, generation, lane);
-            for (s, slice) in slices.iter().enumerate() {
-                let cap = slice.max_magnitude();
-                for level in &mut g.levels[s] {
-                    let delta = (sigma * rng.standard_normal()).round() as i32;
-                    *level = (i32::from(*level) + delta).clamp(-cap, cap) as i16;
+/// one substream per filter group, consumed in fixed `(slice, row)` order
+/// whatever the slicing — so re-compiling at the same generation
+/// reproduces the exact same array, bumping the generation (re-programming)
+/// takes a fresh, equally deterministic draw, and every slicing with `k`
+/// slices adds the same first `k` slices of draws. The slicing search
+/// therefore draws each stream once, up to the largest slice count it
+/// tries ([`ProgrammingDraws::draw_to`]), and every candidate adds and
+/// clamps. Input-independent: programming error is frozen at write time,
+/// unlike read noise.
+pub(crate) struct ProgrammingDraws {
+    sigma: f64,
+    /// One substream per `(filter, group)` lane, past the drawn slices;
+    /// none on a device without programming error.
+    rngs: Vec<NoiseRng>,
+    crossbar_rows: usize,
+    filter_len: usize,
+    drawn: usize,
+    /// `deltas[(s · filters + f) · filter_len + row]`: the rounded draw for
+    /// weight slice `s` of filter `f`'s layer row `row`, saturated to `i8`.
+    /// Levels clamp to ±31 (cells ≤ 5b), so a saturated delta clamps
+    /// exactly as the full one does.
+    deltas: Vec<i8>,
+}
+
+impl ProgrammingDraws {
+    /// The undrawn streams of `layer` under `cfg`'s seed and lifetime.
+    pub(crate) fn new(layer: &MatrixLayer, cfg: &RaellaConfig) -> Self {
+        let sigma = cfg.lifetime.programming_sigma;
+        let lanes = if sigma > 0.0 {
+            layer.filters() * layer.filter_len().div_ceil(cfg.crossbar_rows)
+        } else {
+            0
+        };
+        let seed = cfg.seed ^ PROGRAM_STREAM;
+        ProgrammingDraws {
+            sigma,
+            rngs: (0..lanes as u64)
+                .map(|lane| NoiseRng::for_substream(seed, cfg.lifetime.generation, lane))
+                .collect(),
+            crossbar_rows: cfg.crossbar_rows,
+            filter_len: layer.filter_len(),
+            drawn: 0,
+            deltas: Vec::new(),
+        }
+    }
+
+    /// Draws every stream on to `slices` weight slices.
+    pub(crate) fn draw_to(&mut self, slices: usize) {
+        let groups = self.filter_len.div_ceil(self.crossbar_rows);
+        let sigma = self.sigma;
+        for _ in self.drawn..slices {
+            for (lane, rng) in self.rngs.iter_mut().enumerate() {
+                let start = lane % groups * self.crossbar_rows;
+                let rows = (self.filter_len - start).min(self.crossbar_rows);
+                self.deltas
+                    .extend((0..rows).map(|_| (sigma * rng.standard_normal()).round() as i8));
+            }
+        }
+        self.drawn = self.drawn.max(slices);
+    }
+
+    /// The drawn deltas; empty on a device without programming error.
+    pub(crate) fn deltas(&self) -> &[i8] {
+        &self.deltas
+    }
+
+    /// The drawn deltas, without the streams.
+    pub(crate) fn into_deltas(self) -> Vec<i8> {
+        self.deltas
+    }
+}
+
+/// The centers of every filter group of `layer` under each of `slicings`
+/// and `cfg`'s encoding, slicing-major: `centers[c · lanes + f · groups +
+/// gi]` for slicing `c`, filter `f` and row group `gi`. Center+Offset
+/// solves Eq. (2) for all slicings at once per group ([`CenterSolver::shared`]),
+/// fanned out over the groups.
+pub(crate) fn layer_centers(
+    layer: &MatrixLayer,
+    slicings: &[Slicing],
+    cfg: &RaellaConfig,
+) -> Vec<u8> {
+    let groups = layer.filter_len().div_ceil(cfg.crossbar_rows);
+    let lanes = layer.filters() * groups;
+    let mut centers = vec![0u8; slicings.len() * lanes];
+    match cfg.encoding {
+        WeightEncoding::ZeroOffset => {
+            for (i, center) in centers.iter_mut().enumerate() {
+                *center = layer.quant().weight_zero_points[i % lanes / groups];
+            }
+        }
+        WeightEncoding::CenterOffset => {
+            let solver = CenterSolver::shared(slicings);
+            let n = slicings.len();
+            let chunks = run_chunks(
+                lanes,
+                worker_count_for(lanes, MIN_GROUPS_PER_THREAD),
+                |first, count| {
+                    let mut solved = vec![0u8; count * n];
+                    for (lane, out) in (first..).zip(solved.chunks_exact_mut(n)) {
+                        let weights = layer.filter_weights(lane / groups);
+                        let start = lane % groups * cfg.crossbar_rows;
+                        let end = (start + cfg.crossbar_rows).min(weights.len());
+                        solver.solve_each(&weights[start..end], out);
+                    }
+                    solved
+                },
+            );
+            for (lane, solved) in chunks.iter().flat_map(|c| c.chunks_exact(n)).enumerate() {
+                for (c, &center) in solved.iter().enumerate() {
+                    centers[c * lanes + lane] = center;
                 }
             }
         }
     }
+    centers
 }
 
 /// Packs `groups` (column-major levels) into the panel-blocked layout,
@@ -188,34 +288,43 @@ pub struct CompiledLayer {
 
 impl CompiledLayer {
     /// Compiles a layer: full Algorithm 1 (slicing search + centers +
-    /// offset encoding + column layout).
+    /// offset encoding + column layout). The search hands over the chosen
+    /// slicing's centers and programming-error draws, so the layer is
+    /// encoded once more from them — no Eq. (2) solve and no draw is
+    /// repeated. The result equals [`CompiledLayer::with_slicing`] on the
+    /// chosen slicing, with [`CompiledLayer::search_error`] set.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for invalid configurations.
     pub fn compile(layer: &MatrixLayer, cfg: &RaellaConfig) -> Result<Self, CoreError> {
         cfg.validate()?;
-        let (slicing, search_error) = if let Some(s) = &cfg.fixed_weight_slicing {
-            (s.clone(), None)
-        } else if cfg.last_layer {
-            (Slicing::uniform(1, 8), None)
-        } else {
-            // Table 4 methodology: the search may assume a different
-            // encoding than the runtime one (see `search_encoding`).
-            let mut search_cfg = cfg.clone();
-            if let Some(enc) = cfg.search_encoding {
-                search_cfg.encoding = enc;
-            }
-            let found = adaptive::find_best_slicing(layer, &search_cfg)?;
-            (found.slicing, Some(found.error))
+        if let Some(slicing) = &cfg.fixed_weight_slicing {
+            return Self::with_slicing(layer, slicing.clone(), cfg);
+        }
+        if cfg.last_layer {
+            return Self::with_slicing(layer, Slicing::uniform(1, 8), cfg);
+        }
+        // Table 4 methodology: the search may assume a different encoding
+        // than the runtime one (see `search_encoding`). The programming
+        // draws do not depend on the encoding; the centers do.
+        let search_cfg = RaellaConfig {
+            encoding: cfg.search_encoding.unwrap_or(cfg.encoding),
+            ..cfg.clone()
         };
-        let mut compiled = Self::with_slicing(layer, slicing, cfg)?;
-        compiled.search_error = search_error;
+        let found = adaptive::find_best_slicing(layer, &search_cfg)?;
+        let centers = if search_cfg.encoding == cfg.encoding {
+            found.centers
+        } else {
+            layer_centers(layer, std::slice::from_ref(&found.slicing), cfg)
+        };
+        let mut compiled = Self::encode(layer, found.slicing, cfg, &centers, &found.deltas);
+        compiled.search_error = Some(found.error);
         Ok(compiled)
     }
 
-    /// Compiles with a given weight slicing (no search) — used by the
-    /// adaptive search itself and by ablation setups.
+    /// Compiles with a given weight slicing (no search) — used by ablation
+    /// setups and the last layer.
     ///
     /// # Errors
     ///
@@ -226,74 +335,69 @@ impl CompiledLayer {
         slicing: Slicing,
         cfg: &RaellaConfig,
     ) -> Result<Self, CoreError> {
-        let mut solver = None; // built once `encode` has validated the slicing
-        Self::encode(layer, slicing, cfg, |f, _, weights, slicing| {
-            match cfg.encoding {
-                WeightEncoding::CenterOffset => solver
-                    .get_or_insert_with(|| CenterSolver::new(slicing))
-                    .solve(weights),
-                WeightEncoding::ZeroOffset => i32::from(layer.quant().weight_zero_points[f]),
-            }
-        })
+        check_slicing(&slicing, cfg)?;
+        let centers = layer_centers(layer, std::slice::from_ref(&slicing), cfg);
+        let mut draws = ProgrammingDraws::new(layer, cfg);
+        draws.draw_to(slicing.num_slices());
+        Ok(Self::encode(layer, slicing, cfg, &centers, draws.deltas()))
     }
 
-    /// [`CompiledLayer::with_slicing`] with each filter group's center
-    /// supplied by `center(filter, group index, group weights, slicing)`.
-    fn encode(
+    /// Lays `layer` out under a validated `slicing`: each filter group's
+    /// center comes from `centers` (`[f · groups + gi]`), each level from
+    /// the slice's crop table, plus its programming-error delta when
+    /// `deltas` ([`ProgrammingDraws`]' layout) is not empty.
+    pub(crate) fn encode(
         layer: &MatrixLayer,
         slicing: Slicing,
         cfg: &RaellaConfig,
-        mut center: impl FnMut(usize, usize, &[u8], &Slicing) -> i32,
-    ) -> Result<Self, CoreError> {
-        cfg.validate()?;
-        if slicing.total_bits() != 8 {
-            return Err(CoreError::InvalidConfig(format!(
-                "weight slicing {slicing} must cover 8 bits"
-            )));
-        }
-        if slicing.max_width() > u32::from(cfg.cell_bits) {
-            return Err(CoreError::InvalidConfig(format!(
-                "weight slicing {slicing} exceeds {}b cells",
-                cfg.cell_bits
-            )));
-        }
+        centers: &[u8],
+        deltas: &[i8],
+    ) -> Self {
         let slices = slicing.slices();
-        let mut groups = Vec::with_capacity(layer.filters());
-        for f in 0..layer.filters() {
+        let tables: Vec<_> = slices.iter().map(|&s| crop_table(s)).collect();
+        let (filters, filter_len) = (layer.filters(), layer.filter_len());
+        let group_count = filter_len.div_ceil(cfg.crossbar_rows);
+        let mut groups = Vec::with_capacity(filters);
+        for f in 0..filters {
             let weights = layer.filter_weights(f);
-            let mut filter_groups = Vec::new();
-            let mut row_start = 0;
-            while row_start < weights.len() {
-                let rows = (weights.len() - row_start).min(cfg.crossbar_rows);
+            let mut filter_groups = Vec::with_capacity(group_count);
+            for gi in 0..group_count {
+                let row_start = gi * cfg.crossbar_rows;
+                let rows = (filter_len - row_start).min(cfg.crossbar_rows);
                 let group_weights = &weights[row_start..row_start + rows];
-                let center = center(f, filter_groups.len(), group_weights, &slicing);
-                let mut levels = vec![vec![0i16; rows]; slices.len()];
-                for (r, &w) in group_weights.iter().enumerate() {
-                    let (pos, neg) = offsets(w, center);
-                    let signed_offset = i32::from(pos) - i32::from(neg);
-                    for (s, slice) in slices.iter().enumerate() {
-                        levels[s][r] = slice.crop(signed_offset) as i16;
-                    }
+                let center = centers[f * group_count + gi];
+                let mut levels = Vec::with_capacity(slices.len());
+                for (s, (table, slice)) in tables.iter().zip(&slices).enumerate() {
+                    // `table[w − center + 255]` is `crop(w − center)`.
+                    let table = &table[255 - usize::from(center)..];
+                    let crop = group_weights.iter().map(|&w| table[usize::from(w)]);
+                    levels.push(if deltas.is_empty() {
+                        crop.collect()
+                    } else {
+                        let cap = slice.max_magnitude();
+                        let at = (s * filters + f) * filter_len + row_start;
+                        crop.zip(&deltas[at..at + rows])
+                            .map(|(level, &d)| {
+                                (i32::from(level) + i32::from(d)).clamp(-cap, cap) as i16
+                            })
+                            .collect()
+                    });
                 }
                 filter_groups.push(FilterGroup {
-                    center,
+                    center: i32::from(center),
                     row_start,
                     rows,
                     levels,
                 });
-                row_start += rows;
             }
             groups.push(filter_groups);
         }
-        if cfg.lifetime.programming_sigma > 0.0 {
-            apply_programming_error(&mut groups, &slices, cfg);
-        }
         let panels = build_level_panels(&groups, slices.len());
         let slice_shifts = slicing.shifts();
-        Ok(CompiledLayer {
+        CompiledLayer {
             name: layer.name().to_string(),
-            filters: layer.filters(),
-            filter_len: layer.filter_len(),
+            filters,
+            filter_len,
             weight_slicing: slicing,
             groups,
             panels,
@@ -302,7 +406,7 @@ impl CompiledLayer {
             signed_inputs: layer.signed_inputs(),
             cfg: cfg.clone(),
             search_error: None,
-        })
+        }
     }
 
     /// Layer name.
@@ -479,12 +583,39 @@ impl CompiledLayer {
         );
         let mut cfg = self.cfg.clone();
         cfg.lifetime.generation = generation;
-        let mut fresh = Self::encode(layer, self.weight_slicing.clone(), &cfg, |f, gi, _, _| {
-            self.groups[f][gi].center
-        })?;
+        check_slicing(&self.weight_slicing, &cfg)?;
+        let centers: Vec<u8> = (self.groups.iter().flatten())
+            .map(|g| u8::try_from(g.center).expect("centers lie in 0..=255"))
+            .collect();
+        let mut draws = ProgrammingDraws::new(layer, &cfg);
+        draws.draw_to(self.weight_slicing.num_slices());
+        let mut fresh = Self::encode(
+            layer,
+            self.weight_slicing.clone(),
+            &cfg,
+            &centers,
+            draws.deltas(),
+        );
         fresh.search_error = self.search_error;
         Ok(fresh)
     }
+}
+
+/// Validates `cfg`, and `slicing` as a weight slicing under it.
+fn check_slicing(slicing: &Slicing, cfg: &RaellaConfig) -> Result<(), CoreError> {
+    cfg.validate()?;
+    if slicing.total_bits() != 8 {
+        return Err(CoreError::InvalidConfig(format!(
+            "weight slicing {slicing} must cover 8 bits"
+        )));
+    }
+    if slicing.max_width() > u32::from(cfg.cell_bits) {
+        return Err(CoreError::InvalidConfig(format!(
+            "weight slicing {slicing} exceeds {}b cells",
+            cfg.cell_bits
+        )));
+    }
+    Ok(())
 }
 
 /// FNV-1a over a layer's weights: distinct layers that happen to share a

@@ -172,6 +172,32 @@ fn a_reused_center_solver_matches_a_fresh_one_per_filter() {
     }
 }
 
+/// One solver shared by a slice-count group (as the slicing search builds
+/// it) answers for each slicing as that slicing's own solver does.
+#[test]
+fn a_shared_center_solver_matches_one_solver_per_slicing() {
+    let mini = raella_nn::models::mini::mini_resnet18(0xBE);
+    let mut slicings = Slicing::enumerate(8, 4);
+    slicings.sort_by_key(Slicing::num_slices);
+    for (l, layer) in mini.graph.matrix_layers().into_iter().enumerate() {
+        for group in slicings.chunk_by(|a, b| a.num_slices() == b.num_slices()) {
+            let shared = CenterSolver::shared(group);
+            for weights in sampled_groups(layer, 5, l) {
+                let mut centers = vec![0u8; group.len()];
+                shared.solve_each(weights, &mut centers);
+                for (slicing, &center) in group.iter().zip(&centers) {
+                    assert_eq!(
+                        i32::from(center),
+                        CenterSolver::new(slicing).solve(weights),
+                        "{}, slicing {slicing}",
+                        layer.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// A small random layer for engine equivalence properties.
 fn arb_layer() -> impl Strategy<Value = MatrixLayer> {
     (2usize..5, 8usize..40, 0u64..1000).prop_map(|(filters, len, seed)| {

@@ -88,7 +88,9 @@ fn run_level(
         .map(|_| {
             let stream = TcpStream::connect(addr).expect("load connection connects");
             stream.set_nonblocking(true).expect("nonblocking client");
-            let _ = stream.set_nodelay(true);
+            stream
+                .set_nodelay(true)
+                .expect("unbuffered load connection");
             LoadConn {
                 stream,
                 wbuf: Vec::new(),
